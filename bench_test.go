@@ -39,7 +39,7 @@ func benchOptions() experiments.Options {
 	case "quick":
 		// default quick scale
 	default:
-		opts.Scale = sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}
+		opts.Scale = sim.TinyScale()
 		opts.SameOffset = 50_000
 	}
 	return opts

@@ -34,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	scale, err := parseScale(*scaleName)
+	scale, err := sim.ScaleByName(*scaleName)
 	if err != nil {
 		fatal(err)
 	}
@@ -102,16 +102,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "soebench:", err)
 	os.Exit(1)
-}
-
-func parseScale(s string) (sim.Scale, error) {
-	switch s {
-	case "tiny":
-		return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}, nil
-	case "quick":
-		return sim.QuickScale(), nil
-	case "paper":
-		return sim.PaperScale(), nil
-	}
-	return sim.Scale{}, fmt.Errorf("unknown scale %q", s)
 }

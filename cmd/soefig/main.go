@@ -39,19 +39,19 @@ func main() {
 	)
 	flag.Parse()
 
+	sc, err := sim.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "soefig: %v\n", err)
+		os.Exit(2)
+	}
 	opts := experiments.DefaultOptions()
 	switch *scale {
 	case "tiny":
-		opts.Scale = sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}
 		opts.SameOffset = 50_000
-	case "quick":
-		// defaults
 	case "paper":
 		opts = experiments.PaperOptions()
-	default:
-		fmt.Fprintf(os.Stderr, "soefig: unknown scale %q\n", *scale)
-		os.Exit(2)
 	}
+	opts.Scale = sc
 
 	opts.Watchdog.Timeout = *timeout
 

@@ -288,18 +288,6 @@ func runReplay(path, addr string, speed float64, maxRetries int) error {
 	return nil
 }
 
-func scaleByName(name string) (sim.Scale, error) {
-	switch name {
-	case "tiny":
-		return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 200_000, MaxCycles: 40_000_000}, nil
-	case "quick":
-		return sim.QuickScale(), nil
-	case "paper":
-		return sim.PaperScale(), nil
-	}
-	return sim.Scale{}, fmt.Errorf("unknown -fit-scale %q (want tiny, quick or paper)", name)
-}
-
 func runFit(tracePath, outPath string, rate float64, dur time.Duration, scaleName string) error {
 	f, err := os.Open(tracePath)
 	if err != nil {
@@ -310,7 +298,7 @@ func runFit(tracePath, outPath string, rate float64, dur time.Duration, scaleNam
 	if err != nil {
 		return err
 	}
-	sc, err := scaleByName(scaleName)
+	sc, err := sim.ScaleByName(scaleName)
 	if err != nil {
 		return err
 	}

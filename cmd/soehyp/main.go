@@ -61,7 +61,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	scale, err := parseScale(*scaleArg)
+	scale, err := sim.ScaleByName(*scaleArg)
 	if err != nil {
 		fatal(err)
 	}
@@ -126,18 +126,6 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-func parseScale(s string) (sim.Scale, error) {
-	switch s {
-	case "tiny":
-		return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}, nil
-	case "quick":
-		return sim.QuickScale(), nil
-	case "paper":
-		return sim.PaperScale(), nil
-	}
-	return sim.Scale{}, fmt.Errorf("unknown scale %q", s)
 }
 
 func fatal(err error) {

@@ -93,7 +93,7 @@ func main() {
 		return
 	}
 
-	scale, err := parseScale(*scaleArg)
+	scale, err := sim.ScaleByName(*scaleArg)
 	if err != nil {
 		fatal(err)
 	}
@@ -306,18 +306,6 @@ func main() {
 		fmt.Printf("fairness (Eq. 4): %.3f   weighted speedup: %.3f   harmonic: %.3f\n",
 			core.FairnessMetric(sp), core.WeightedSpeedup(sp), core.HarmonicFairness(sp))
 	}
-}
-
-func parseScale(s string) (sim.Scale, error) {
-	switch s {
-	case "tiny":
-		return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}, nil
-	case "quick":
-		return sim.QuickScale(), nil
-	case "paper":
-		return sim.PaperScale(), nil
-	}
-	return sim.Scale{}, fmt.Errorf("unknown scale %q", s)
 }
 
 // parseWeights parses a comma-separated weight list; empty means nil

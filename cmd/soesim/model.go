@@ -108,7 +108,7 @@ func runModel(threadsArg string, f, timeshare float64, calPath string, jsonOut b
 // are measured by replaying the chosen pairs. With -threads a,b only
 // that pair is replayed; without it the full 16-pair matrix runs.
 func runCalibrate(out, threadsArg, scaleArg string) error {
-	scale, err := parseScale(scaleArg)
+	scale, err := sim.ScaleByName(scaleArg)
 	if err != nil {
 		return err
 	}

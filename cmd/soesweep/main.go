@@ -55,7 +55,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, err := parseScale(*scale)
+	sc, err := sim.ScaleByName(*scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -154,18 +154,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func parseScale(s string) (sim.Scale, error) {
-	switch s {
-	case "tiny":
-		return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}, nil
-	case "quick":
-		return sim.QuickScale(), nil
-	case "paper":
-		return sim.PaperScale(), nil
-	}
-	return sim.Scale{}, fmt.Errorf("unknown scale %q", s)
-}
-
 func parseValues(s, def string) []float64 {
 	if s == "" {
 		s = def
@@ -201,7 +189,7 @@ func splitPair(pair string) (workload.Profile, workload.Profile, error) {
 // results plus per-thread speedups against single-thread references
 // (cached across sweep points — the references do not depend on the
 // swept parameter unless the machine itself changes).
-func runPair(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, m sim.MachineConfig, a, b workload.Profile, sc sim.Scale) (*sim.Result, []float64, error) {
+func runPair(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, m sim.MachineConfig, a, b workload.Profile, sc sim.Scale, sib *sim.Siblings) (*sim.Result, []float64, error) {
 	var st []float64
 	for i, p := range []workload.Profile{a, b} {
 		refMachine := sim.DefaultMachine()
@@ -225,6 +213,7 @@ func runPair(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, m sim.M
 		},
 		Scale:    sc,
 		Watchdog: wd,
+		Siblings: sib,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -312,11 +301,14 @@ func sweepF(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, pair str
 		points = 2
 	}
 	tbl := stats.NewTable("F", "IPC", "fairness", "speedupA", "speedupB", "forced/1k")
+	// The points differ only in their policy: one sibling scope lets
+	// them share the warmed machine and, where quotas agree, results.
+	sib := new(sim.Siblings)
 	for i := 0; i < points; i++ {
 		f := float64(i) / float64(points-1)
 		m := sim.DefaultMachine()
 		m.Controller.Policy = policyFor(f)
-		res, sp, err := runPair(ctx, c, wd, m, a, b, sc)
+		res, sp, err := runPair(ctx, c, wd, m, a, b, sc, sib)
 		if err != nil {
 			return tbl, err
 		}
@@ -352,7 +344,7 @@ func sweepScalar(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, pai
 		default:
 			return nil, fmt.Errorf("unknown scalar parameter %q", param)
 		}
-		res, sp, err := runPair(ctx, c, wd, m, a, b, sc)
+		res, sp, err := runPair(ctx, c, wd, m, a, b, sc, nil)
 		if err != nil {
 			return tbl, err
 		}

@@ -48,6 +48,12 @@ func (a *Arena) Reset() {
 // degrades to a plain heap allocation, so construction code can thread
 // an optional arena without branching.
 //
+// Recycling is best fit: the free slice with the smallest capacity
+// that holds n. First fit would let a small request (an L1's tag
+// array) take a large free slice (the L2's), forcing the large request
+// to allocate a second one, so every arena would grow to hold nearly
+// two machines (pinned by TestMachineShapedRequestsHoldOneMachine).
+//
 // The tracked value is always the full-capacity slice, boxed into an
 // interface exactly once at first allocation: recycling moves the same
 // boxed header between used and free, so steady-state handouts perform
@@ -58,17 +64,20 @@ func Slice[T any](a *Arena, n int) []T {
 	}
 	t := reflect.TypeOf((*[]T)(nil)).Elem()
 	list := a.free[t]
-	for i := len(list) - 1; i >= 0; i-- {
-		box := list[i]
-		s := box.([]T)
-		if cap(s) < n {
-			continue
+	best := -1
+	for i, box := range list {
+		c := cap(box.([]T))
+		if c >= n && (best < 0 || c < cap(list[best].([]T))) {
+			best = i
 		}
-		list[i] = list[len(list)-1]
+	}
+	if best >= 0 {
+		box := list[best]
+		list[best] = list[len(list)-1]
 		list[len(list)-1] = nil
 		a.free[t] = list[:len(list)-1]
 		a.used = append(a.used, box)
-		out := s[:n]
+		out := box.([]T)[:n]
 		clear(out)
 		return out
 	}

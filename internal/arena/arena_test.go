@@ -1,6 +1,9 @@
 package arena
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestNilArenaDegradesToMake pins the optional-arena contract: a nil
 // receiver must behave exactly like make([]T, n).
@@ -84,5 +87,46 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state rebuild allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// held sums the capacity, in elements, of every slice a tracks (handed
+// out or free).
+func held(a *Arena) int {
+	n := 0
+	for _, box := range a.used {
+		n += reflect.ValueOf(box).Cap()
+	}
+	for _, list := range a.free {
+		for _, box := range list {
+			n += reflect.ValueOf(box).Cap()
+		}
+	}
+	return n
+}
+
+// TestMachineShapedRequestsHoldOneMachine pins best-fit recycling: a
+// run requests an L1I, an L1D and an L2 tag array of one element type
+// (1,024, 1,024 and 32,768 lines in the default machine). Repeating
+// that request set after every Reset must keep exactly one machine's
+// worth of backing; first fit handed the L2's slice to the L1I and
+// grew the arena by a second L2 array.
+func TestMachineShapedRequestsHoldOneMachine(t *testing.T) {
+	shapes := []int{1024, 1024, 32768}
+	want := 0
+	for _, n := range shapes {
+		want += n
+	}
+	a := New()
+	for run := 0; run < 4; run++ {
+		for _, n := range shapes {
+			if s := Slice[uint64](a, n); len(s) != n {
+				t.Fatalf("run %d: len = %d, want %d", run, len(s), n)
+			}
+		}
+		if got := held(a); got != want {
+			t.Fatalf("run %d: arena holds %d elements, want exactly %d (one machine)", run, got, want)
+		}
+		a.Reset()
 	}
 }

@@ -10,6 +10,8 @@
 // IPC slightly lower than the real one (Section 5.1.1).
 package branch
 
+import "fmt"
+
 // Direction predictors ----------------------------------------------------
 
 // Predictor predicts conditional branch directions and learns from
@@ -278,6 +280,37 @@ func (u *Unit) Resolve(pc uint64, predicted, taken bool, target uint64) {
 	if taken {
 		u.BTB.Insert(pc, target)
 	}
+}
+
+// CopyFrom overwrites u's predictor tables, BTB, RAS and statistics
+// with src's. Both units must be built by NewUnit with the same sizes;
+// a unit whose direction predictor was replaced is a programming error
+// and panics.
+func (u *Unit) CopyFrom(src *Unit) {
+	dir, ok := u.Dir.(*Tournament)
+	if !ok {
+		panic(fmt.Sprintf("branch: CopyFrom: unsupported direction predictor %T", u.Dir))
+	}
+	dir.copyFrom(src.Dir.(*Tournament))
+	copy(u.BTB.tags, src.BTB.tags)
+	copy(u.BTB.targets, src.BTB.targets)
+	copy(u.BTB.valid, src.BTB.valid)
+	copy(u.RAS.stack, src.RAS.stack)
+	u.RAS.top, u.RAS.depth = src.RAS.top, src.RAS.depth
+	u.Lookups, u.Mispredicts = src.Lookups, src.Mispredicts
+}
+
+func (b *Bimodal) copyFrom(src *Bimodal) { copy(b.table, src.table) }
+
+func (g *Gshare) copyFrom(src *Gshare) {
+	copy(g.table, src.table)
+	g.history = src.history
+}
+
+func (t *Tournament) copyFrom(src *Tournament) {
+	t.local.copyFrom(src.local)
+	t.global.copyFrom(src.global)
+	copy(t.chooser, src.chooser)
 }
 
 // MispredictRate returns the fraction of direction predictions that

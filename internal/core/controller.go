@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"soemt/internal/obs"
 	"soemt/internal/pipeline"
@@ -306,8 +307,50 @@ func NewController(pipe *pipeline.Pipeline, cfg Config, threads []*Thread) (*Con
 	return c, nil
 }
 
+// CopyFrom overwrites c's machine and mechanism state with src's: the
+// controller's clocks, samples and switch statistics, every thread's
+// counters, quota, deficit and stream position, and (through
+// Pipeline.CopyFrom) the pipeline. Both controllers must drive the
+// same thread specs on identically configured pipelines. c keeps its
+// own configuration (policy included), engine and observer, so a copy
+// continues under c's policy from exactly src's state; callers copy
+// the memory hierarchy and branch unit themselves.
+func (c *Controller) CopyFrom(src *Controller) {
+	for i, t := range c.threads {
+		t.copyFrom(src.threads[i])
+	}
+	cur := c.threads[src.cur]
+	c.pipe.CopyFrom(src.pipe, cur.Stream, cur.Events)
+	c.now, c.resetAt, c.sampleAt, c.nextSampleAt = src.now, src.resetAt, src.sampleAt, src.nextSampleAt
+	c.truncated, c.cur, c.switches = src.truncated, src.cur, src.switches
+	c.samples = slices.Clone(src.samples)
+	for i := range c.samples {
+		c.samples[i].Threads = slices.Clone(c.samples[i].Threads)
+	}
+	c.missLatSum, c.missLatN = src.missLatSum, src.missLatN
+	copy(c.active, src.active)
+	copy(c.grantCredit, src.grantCredit)
+	copy(c.grantW, src.grantW)
+	c.sampleOrd, c.peakAggIPC = src.sampleOrd, src.peakAggIPC
+}
+
+// copyFrom overwrites t's mechanism state and counters with src's and
+// positions its stream like src's. t keeps its name, stream and event
+// schedule.
+func (t *Thread) copyFrom(src *Thread) {
+	name, stream, events := t.Name, t.Stream, t.Events
+	*t = *src
+	t.Name, t.Stream, t.Events = name, stream, events
+	t.Stream.CopyFrom(src.Stream)
+}
+
 // Now returns the global cycle count.
 func (c *Controller) Now() uint64 { return c.now }
+
+// NextSampleAt returns the cycle of the next Δ sample, the point at
+// which the controller next consults its policy (besides ResetStats's
+// flush sample); 0 when sampling is off (Delta == 0).
+func (c *Controller) NextSampleAt() uint64 { return c.nextSampleAt }
 
 // CyclesSinceReset returns cycles elapsed since the last stats reset.
 func (c *Controller) CyclesSinceReset() uint64 { return c.now - c.resetAt }

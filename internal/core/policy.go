@@ -47,6 +47,12 @@ type ThreadSample struct {
 
 // Policy computes per-thread instruction quotas (IPSw) from sampled
 // counters. A quota q[i] <= 0 disables forced switches for thread i.
+//
+// Quotas must be a pure function of its arguments: the same samples
+// and missLat always yield the same quotas, and the call changes no
+// state. Whole-run reuse between sibling runs depends on it
+// (sim.Siblings replays a policy over another run's recorded samples
+// to prove the two runs identical).
 type Policy interface {
 	Name() string
 	Quotas(samples []ThreadSample, missLat float64) []float64

@@ -199,12 +199,8 @@ func scaleName(sc sim.Scale) string {
 		return "paper"
 	case sim.QuickScale():
 		return "quick"
-	case tinyScale():
+	case sim.TinyScale():
 		return "tiny"
 	}
 	return "custom"
-}
-
-func tinyScale() sim.Scale {
-	return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}
 }

@@ -24,6 +24,16 @@ type RunnerMetrics struct {
 
 	SimulatedCycles uint64        // measured cycles across completed runs
 	SimWall         time.Duration // wall time summed across completed runs
+
+	// Sibling-scope savings (sim.Siblings, DESIGN.md §17): runs that
+	// restored a sibling's fork snapshot instead of warming up, and runs
+	// served a sibling's stored Result without simulating.
+	PrefixReuse uint64
+	ResultReuse uint64
+
+	// Wall time per protocol phase, summed over the simulations that
+	// published into this cache's registry (sim.phase.*_ns).
+	BuildWall, CacheWarmWall, TimingWarmWall, MeasureWall time.Duration
 }
 
 // CacheHits returns hits across all layers (memory, disk, in-flight).
@@ -41,11 +51,15 @@ func (m RunnerMetrics) CyclesPerSec() float64 {
 // String renders a one-line summary suitable for Progress callbacks.
 func (m RunnerMetrics) String() string {
 	return fmt.Sprintf(
-		"runs=%d/%d (failed=%d truncated=%d) cache hits=%d (mem=%d disk=%d dedup=%d) misses=%d sim=%.2gMcyc %.3gMcyc/s wall=%s",
+		"runs=%d/%d (failed=%d truncated=%d) cache hits=%d (mem=%d disk=%d dedup=%d) misses=%d sim=%.2gMcyc %.3gMcyc/s wall=%s"+
+			" sibling reuse prefix=%d result=%d phases build=%s cache-warm=%s timing-warm=%s measure=%s",
 		m.RunsCompleted, m.RunsStarted, m.RunsFailed, m.TruncatedRuns,
 		m.CacheHits(), m.MemHits, m.DiskHits, m.DedupHits, m.Misses,
 		float64(m.SimulatedCycles)/1e6, m.CyclesPerSec()/1e6,
-		m.SimWall.Round(time.Millisecond))
+		m.SimWall.Round(time.Millisecond),
+		m.PrefixReuse, m.ResultReuse,
+		m.BuildWall.Round(time.Millisecond), m.CacheWarmWall.Round(time.Millisecond),
+		m.TimingWarmWall.Round(time.Millisecond), m.MeasureWall.Round(time.Millisecond))
 }
 
 // metrics is the collector behind RunnerMetrics, backed by the
@@ -84,6 +98,9 @@ type metrics struct {
 
 	simCycles    *obs.Counter
 	simWallNanos *obs.Counter
+
+	prefixReuse, resultReuse                                  *obs.Counter
+	buildNanos, cacheWarmNanos, timingWarmNanos, measureNanos *obs.Counter
 }
 
 // newMetrics resolves the collector's counters in reg (a fresh
@@ -108,6 +125,13 @@ func newMetrics(reg *obs.Registry) metrics {
 		peerErrors:    reg.Counter("cluster.peer_fill_errors"),
 		simCycles:     reg.Counter("runner.sim_cycles"),
 		simWallNanos:  reg.Counter("runner.sim_wall_nanos"),
+
+		prefixReuse:     reg.Counter("sim.siblings.prefix_reuse"),
+		resultReuse:     reg.Counter("sim.siblings.result_reuse"),
+		buildNanos:      reg.Counter("sim.phase.build_ns"),
+		cacheWarmNanos:  reg.Counter("sim.phase.cache_warm_ns"),
+		timingWarmNanos: reg.Counter("sim.phase.timing_warm_ns"),
+		measureNanos:    reg.Counter("sim.phase.measure_ns"),
 	}
 }
 
@@ -123,5 +147,11 @@ func (m *metrics) snapshot() RunnerMetrics {
 		Misses:          m.misses.Load(),
 		SimulatedCycles: m.simCycles.Load(),
 		SimWall:         time.Duration(m.simWallNanos.Load()),
+		PrefixReuse:     m.prefixReuse.Load(),
+		ResultReuse:     m.resultReuse.Load(),
+		BuildWall:       time.Duration(m.buildNanos.Load()),
+		CacheWarmWall:   time.Duration(m.cacheWarmNanos.Load()),
+		TimingWarmWall:  time.Duration(m.timingWarmNanos.Load()),
+		MeasureWall:     time.Duration(m.measureNanos.Load()),
 	}
 }

@@ -271,6 +271,12 @@ func (r *Runner) RunPairAt(p Pair, f float64) (*sim.Result, error) {
 // RunPairAtContext runs one pair at one enforcement level through the
 // cache, honoring ctx.
 func (r *Runner) RunPairAtContext(ctx context.Context, p Pair, f float64) (*sim.Result, error) {
+	return r.runPairAt(ctx, p, f, nil)
+}
+
+// runPairAt is RunPairAtContext with a sibling scope (nil = none)
+// attached to the simulated spec.
+func (r *Runner) runPairAt(ctx context.Context, p Pair, f float64, sib *sim.Siblings) (*sim.Result, error) {
 	r.markUsed()
 	m := r.Opts.Machine
 	m.Controller.Policy = policyFor(f)
@@ -282,6 +288,7 @@ func (r *Runner) RunPairAtContext(ctx context.Context, p Pair, f float64) (*sim.
 		},
 		Scale:    r.Opts.Scale,
 		Watchdog: r.Opts.Watchdog,
+		Siblings: sib,
 	}
 	if p.Same() {
 		spec.Threads[1].StartSeq = r.Opts.SameOffset
@@ -306,6 +313,11 @@ func (r *Runner) RunPair(p Pair) (*PairRun, error) {
 // pair and memoizes the assembled PairRun. Safe for concurrent use;
 // the underlying simulations are deduplicated by the cache. A
 // cancelled or failed pair is not memoized — a later call retries.
+//
+// The F levels run in order under one sim.Siblings scope: the first
+// simulated level snapshots the machine at its first policy
+// consultation and the later ones restore it, or reuse a whole Result
+// when their quotas would agree (DESIGN.md §17).
 func (r *Runner) RunPairContext(ctx context.Context, p Pair) (*PairRun, error) {
 	r.mu.Lock()
 	pr, ok := r.pairs[p.Name()]
@@ -322,8 +334,9 @@ func (r *Runner) RunPairContext(ctx context.Context, p Pair) (*PairRun, error) {
 		pr.ST[i] = res.Threads[0].IPC
 		pr.STRuns[i] = res
 	}
+	sib := new(sim.Siblings)
 	for _, f := range FLevels {
-		res, err := r.RunPairAtContext(ctx, p, f)
+		res, err := r.runPairAt(ctx, p, f, sib)
 		if err != nil {
 			return nil, err
 		}

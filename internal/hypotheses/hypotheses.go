@@ -44,7 +44,7 @@ func DefaultEnv() Env {
 	return Env{
 		Ctx:       context.Background(),
 		ScaleName: "tiny",
-		Scale:     sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000},
+		Scale:     sim.TinyScale(),
 		Cache:     experiments.NewMemCache(),
 	}
 }

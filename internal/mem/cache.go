@@ -63,6 +63,7 @@ type Cache struct {
 	lineBits uint
 	clock    uint64 // monotonic use counter for LRU
 	Stats    CacheStats
+	lines    []cacheLine // the backing array sets are carved from
 }
 
 // NewCache builds a cache from cfg. Invalid geometry (see
@@ -80,9 +81,9 @@ func NewCacheIn(a *arena.Arena, cfg CacheConfig) (*Cache, error) {
 	}
 	nSets := cfg.Sets()
 	sets := arena.Slice[[]cacheLine](a, nSets)
-	backing := arena.Slice[cacheLine](a, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
+	lines := arena.Slice[cacheLine](a, nSets*cfg.Ways)
+	for i, rest := 0, lines; i < nSets; i++ {
+		sets[i], rest = rest[:cfg.Ways:cfg.Ways], rest[cfg.Ways:]
 	}
 	lineBits := uint(0)
 	for 1<<lineBits < cfg.LineSize {
@@ -91,6 +92,7 @@ func NewCacheIn(a *arena.Arena, cfg CacheConfig) (*Cache, error) {
 	return &Cache{
 		cfg:      cfg,
 		sets:     sets,
+		lines:    lines,
 		setMask:  uint64(nSets - 1),
 		lineBits: lineBits,
 	}, nil
@@ -213,3 +215,11 @@ func (c *Cache) Reset() {
 // ResetStats clears statistics without touching cache contents (used
 // at the end of warmup).
 func (c *Cache) ResetStats() { c.Stats = CacheStats{} }
+
+// CopyFrom overwrites c's contents, replacement state and statistics
+// with src's. Both caches must share a geometry.
+func (c *Cache) CopyFrom(src *Cache) {
+	copy(c.lines, src.lines)
+	c.clock = src.clock
+	c.Stats = src.Stats
+}

@@ -392,6 +392,25 @@ func (h *Hierarchy) ResetTiming() {
 	h.outstanding = make(map[uint64]uint64)
 }
 
+// CopyFrom overwrites h's whole state with src's: cache and TLB
+// contents, bus occupancy, outstanding fills and statistics. Both
+// hierarchies must be built from the same configuration. It is the
+// memory layer's part of copying a machine (a sibling run restoring
+// another run's warmed state).
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	h.L1I.CopyFrom(src.L1I)
+	h.L1D.CopyFrom(src.L1D)
+	h.L2.CopyFrom(src.L2)
+	h.ITLB.CopyFrom(src.ITLB)
+	h.DTLB.CopyFrom(src.DTLB)
+	h.Bus = src.Bus
+	clear(h.outstanding)
+	for line, ready := range src.outstanding {
+		h.outstanding[line] = ready
+	}
+	h.Stats = src.Stats
+}
+
 // ResetStats clears statistics but keeps cache/TLB contents (end of
 // warmup).
 func (h *Hierarchy) ResetStats() {

@@ -40,6 +40,7 @@ type TLB struct {
 	pageBits uint
 	clock    uint64
 	Stats    TLBStats
+	entries  []tlbEntry // the backing array sets are carved from
 }
 
 // NewTLB builds a TLB. Invalid geometry (see TLBConfig.Validate) is a
@@ -56,15 +57,15 @@ func NewTLBIn(a *arena.Arena, cfg TLBConfig) (*TLB, error) {
 	}
 	nSets := cfg.Entries / cfg.Ways
 	sets := arena.Slice[[]tlbEntry](a, nSets)
-	backing := arena.Slice[tlbEntry](a, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
+	entries := arena.Slice[tlbEntry](a, nSets*cfg.Ways)
+	for i, rest := 0, entries; i < nSets; i++ {
+		sets[i], rest = rest[:cfg.Ways:cfg.Ways], rest[cfg.Ways:]
 	}
 	pageBits := uint(0)
 	for 1<<pageBits < cfg.PageSize {
 		pageBits++
 	}
-	return &TLB{cfg: cfg, sets: sets, setMask: uint64(nSets - 1), pageBits: pageBits}, nil
+	return &TLB{cfg: cfg, sets: sets, entries: entries, setMask: uint64(nSets - 1), pageBits: pageBits}, nil
 }
 
 // Config returns the TLB geometry.
@@ -123,3 +124,11 @@ func (t *TLB) Reset() {
 
 // ResetStats clears statistics without touching contents.
 func (t *TLB) ResetStats() { t.Stats = TLBStats{} }
+
+// CopyFrom overwrites t's entries, replacement state and statistics
+// with src's. Both TLBs must share a geometry.
+func (t *TLB) CopyFrom(src *TLB) {
+	copy(t.entries, src.entries)
+	t.clock = src.clock
+	t.Stats = src.Stats
+}

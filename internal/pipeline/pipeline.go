@@ -388,6 +388,57 @@ func (p *Pipeline) Squash() uint64 {
 	return p.nextArchSeq
 }
 
+// CopyFrom overwrites p's whole state with src's: every in-flight
+// micro-op, the reservation stations and wake heap, the fetch queue,
+// port and store-buffer state, the event wheel and the metrics. Both
+// pipelines must share a Config. p keeps its own memory hierarchy and
+// branch unit (callers copy those layers themselves) and takes stream
+// and events as the running thread's context in place of src's; stream
+// must already be positioned like src's.
+func (p *Pipeline) CopyFrom(src *Pipeline, stream *workload.Stream, events []InjectedStall) {
+	p.tid, p.stream = src.tid, stream
+	copy(p.robUop, src.robUop)
+	copy(p.robDoneAt, src.robDoneAt)
+	copy(p.robFlags, src.robFlags)
+	p.headID, p.nextID = src.headID, src.nextID
+
+	copy(p.rsValid, src.rsValid)
+	copy(p.rsRob, src.rsRob)
+	copy(p.rsSrc1, src.rsSrc1)
+	copy(p.rsSrc2, src.rsSrc2)
+	copy(p.rsKey, src.rsKey)
+	copy(p.rsHas, src.rsHas)
+	p.rsCount, p.lbCount = src.rsCount, src.lbCount
+	copy(p.rsReady, src.rsReady)
+	copy(p.rsWaitCnt, src.rsWaitCnt)
+	copy(p.rsWakeAt, src.rsWakeAt)
+	copy(p.rsNext1, src.rsNext1)
+	copy(p.rsNext2, src.rsNext2)
+	copy(p.robWaiters, src.robWaiters)
+	p.wakeHeap = append(p.wakeHeap[:0], src.wakeHeap...)
+	p.renameMap = src.renameMap
+
+	copy(p.fqUop, src.fqUop)
+	copy(p.fqReadyAt, src.fqReadyAt)
+	copy(p.fqPred, src.fqPred)
+	p.fqHead, p.fqCount = src.fqHead, src.fqCount
+	p.fetchStall, p.brBlocked, p.brBlockSeq = src.fetchStall, src.brBlocked, src.brBlockSeq
+	p.rsSeqCounter = src.rsSeqCounter
+
+	p.portBusy = src.portBusy
+	p.issueWakeAt = src.issueWakeAt
+	p.issueCands = p.issueCands[:0]
+
+	p.sbAddr = append(p.sbAddr[:0], src.sbAddr...)
+	p.sbTid = append(p.sbTid[:0], src.sbTid...)
+	p.sbHead = src.sbHead
+
+	p.nextArchSeq = src.nextArchSeq
+	p.events, p.eventIdx, p.eventStall = events, src.eventIdx, src.eventStall
+	p.wheel.copyFrom(&src.wheel)
+	p.Metrics = src.Metrics
+}
+
 // Drained reports whether no in-flight micro-ops remain (ROB and fetch
 // queue empty). The store buffer is allowed to be non-empty.
 func (p *Pipeline) Drained() bool {

@@ -103,6 +103,12 @@ func (w *EventWheel) Pop() (at uint64, src uint8, ok bool) {
 // (exported for tests and introspection).
 func (w *EventWheel) Len() int { return len(w.heap) }
 
+// copyFrom makes w an exact copy of src, stale entries included.
+func (w *EventWheel) copyFrom(src *EventWheel) {
+	w.heap = append(w.heap[:0], src.heap...)
+	w.cur = src.cur
+}
+
 // Reset empties the wheel.
 func (w *EventWheel) Reset() {
 	w.heap = w.heap[:0]

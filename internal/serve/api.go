@@ -98,16 +98,12 @@ type SweepCell struct {
 // fKey renders an enforcement level as a stable JSON map key.
 func fKey(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
+// scaleByName resolves a request's scale name; empty means quick.
 func scaleByName(name string) (sim.Scale, error) {
-	switch name {
-	case "tiny":
-		return sim.Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}, nil
-	case "", "quick":
-		return sim.QuickScale(), nil
-	case "paper":
-		return sim.PaperScale(), nil
+	if name == "" {
+		name = "quick"
 	}
-	return sim.Scale{}, fmt.Errorf("unknown scale %q (want tiny, quick or paper)", name)
+	return sim.ScaleByName(name)
 }
 
 func policyFor(f float64) core.Policy {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"soemt/internal/arena"
-	"soemt/internal/branch"
 	"soemt/internal/core"
 	"soemt/internal/isa"
 	"soemt/internal/mem"
@@ -59,6 +58,28 @@ func QuickScale() Scale {
 	return Scale{CacheWarm: 300_000, Warm: 150_000, Measure: 700_000, MaxCycles: 60_000_000}
 }
 
+// TinyScale is the smallest named protocol: short enough for CI and
+// smoke runs, long enough that every pair crosses a few Δ samples.
+func TinyScale() Scale {
+	return Scale{CacheWarm: 50_000, Warm: 50_000, Measure: 250_000, MaxCycles: 50_000_000}
+}
+
+// ScaleByName resolves a protocol name — "tiny", "quick" or "paper" —
+// to its Scale. It is the one definition of the named scales: every
+// command, the service and the harnesses resolve names through it, so
+// a label always means the same protocol.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return TinyScale(), nil
+	case "quick":
+		return QuickScale(), nil
+	case "paper":
+		return PaperScale(), nil
+	}
+	return Scale{}, fmt.Errorf("sim: unknown scale %q (want tiny, quick or paper)", name)
+}
+
 // ThreadSpec describes one thread of a run.
 type ThreadSpec struct {
 	Profile  workload.Profile
@@ -69,10 +90,10 @@ type ThreadSpec struct {
 
 // Spec describes a complete simulation run.
 //
-// Watchdog, Engine, CycleByCycle and Obs are execution policy and
-// observability, not simulation input: they bound, slow or watch the
-// run but never change a produced result, so all are excluded from
-// FingerprintJSON and cache keys.
+// Watchdog, Engine, CycleByCycle, Obs and Siblings are execution
+// policy and observability, not simulation input: they bound, slow,
+// watch or shortcut the run but never change a produced result, so
+// all are excluded from FingerprintJSON and cache keys.
 type Spec struct {
 	Machine  MachineConfig
 	Threads  []ThreadSpec
@@ -102,6 +123,12 @@ type Spec struct {
 	// unobserved runs share cache entries. Note that a cache hit skips
 	// the simulation entirely and records nothing.
 	Obs *obs.Observer `json:"-"`
+
+	// Siblings, when non-nil, is a reuse scope shared with runs that
+	// differ from this one only in the controller policy (see
+	// Siblings). Like Obs it never changes a produced result and is
+	// excluded from fingerprints.
+	Siblings *Siblings `json:"-"`
 }
 
 // ThreadResult is the per-thread outcome of a run.
@@ -174,6 +201,12 @@ func RunContext(ctx context.Context, spec Spec) (res *Result, err error) {
 			res, err = nil, recoverToError(fp, rec)
 		}
 	}()
+	engine, err := spec.engine()
+	if err != nil {
+		return nil, err
+	}
+	reg := spec.Obs.Registry()
+	clock := startPhaseClock(reg)
 
 	stallWindow := spec.Watchdog.StallCycles
 	if stallWindow == 0 {
@@ -195,6 +228,17 @@ func RunContext(ctx context.Context, spec Spec) (res *Result, err error) {
 		return nil
 	}
 
+	// A sibling scope may already hold a run this one would retrace
+	// exactly (see Siblings): then there is nothing to simulate.
+	sib := spec.Siblings.join(spec, engine)
+	if r := sib.reuse(); r != nil {
+		if err := checkAborts("sibling reuse", 0); err != nil {
+			return nil, err
+		}
+		reg.Counter("sim.siblings.result_reuse").Inc()
+		return r, nil
+	}
+
 	// Machine-internal state (cache/TLB tag arrays, pipeline SoA
 	// arrays) is carved from a pooled arena so repeated runs reuse the
 	// same backing memory: after the pool warms up, building a machine
@@ -207,51 +251,15 @@ func RunContext(ctx context.Context, spec Spec) (res *Result, err error) {
 		arenaPool.Put(ar)
 	}()
 
-	hier, err := mem.NewHierarchyIn(ar, spec.Machine.Memory)
+	cfg := spec.Machine.Controller
+	if sib != nil {
+		cfg.Policy = sib.log
+	}
+	m, err := buildMachine(ar, spec, cfg)
 	if err != nil {
 		return nil, err
 	}
-	bu := branch.NewUnit(
-		spec.Machine.Pipeline.BranchEntries,
-		spec.Machine.Pipeline.BTBEntries,
-		spec.Machine.Pipeline.RASDepth,
-		spec.Machine.Pipeline.HistoryBits,
-	)
-	pipe, err := pipeline.NewIn(ar, spec.Machine.Pipeline, hier, bu)
-	if err != nil {
-		return nil, err
-	}
-
-	threads := make([]*core.Thread, len(spec.Threads))
-	gens := make([]*workload.Generator, len(spec.Threads))
-	for i, ts := range spec.Threads {
-		gens[i] = workload.NewOffset(ts.Profile, ts.Slot)
-		threads[i] = &core.Thread{
-			Name:   ts.Profile.Name,
-			Stream: workload.NewStream(gens[i], ts.StartSeq),
-			Events: ts.Events,
-		}
-	}
-
-	// Functional cache warmup (paper: 10M instructions per thread).
-	for i, ts := range spec.Threads {
-		if err := warmCaches(hier, gens[i], ts.StartSeq, spec.Scale.CacheWarm, func() error {
-			return checkAborts("cache warmup", 0)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	hier.ResetTiming()
-	hier.ResetStats()
-
-	ctl, err := core.NewController(pipe, spec.Machine.Controller, threads)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := spec.engine()
-	if err != nil {
-		return nil, err
-	}
+	ctl := m.ctl
 	ctl.SetEngine(engine)
 	ctl.SetObserver(spec.Obs)
 	tracer := spec.Obs.Tracer()
@@ -261,23 +269,63 @@ func RunContext(ctx context.Context, spec Spec) (res *Result, err error) {
 		}
 		return obs.CauseWarmup
 	}
+	// A sibling's snapshot replaces the functional cache warmup and the
+	// timing warmup up to the family's fork point.
+	fork := sib.restorable()
+	if fork != nil {
+		m.copyFrom(fork.m)
+		reg.Counter("sim.siblings.prefix_reuse").Inc()
+	}
+	clock.lap("build")
 	if testHookPostBuild != nil {
 		testHookPostBuild()
 	}
 
-	// runPhase advances toward target in slices, checking cancellation,
-	// the wall-clock deadline, and forward progress between slices.
-	runPhase := func(phase string, target uint64) (uint64, error) {
-		start := ctl.Now()
+	if fork == nil {
+		// Functional cache warmup (paper: 10M instructions per thread).
+		for i, ts := range spec.Threads {
+			if err := warmCaches(m.hier, m.gens[i], ts.StartSeq, spec.Scale.CacheWarm, func() error {
+				return checkAborts("cache warmup", 0)
+			}); err != nil {
+				return nil, err
+			}
+		}
+		m.hier.ResetTiming()
+		m.hier.ResetStats()
+	}
+	clock.lap("cache_warm")
+
+	// runPhase advances the phase that began at cycle start toward
+	// target in execution slices aligned to start, checking
+	// cancellation, the wall-clock deadline, and forward progress
+	// between slices. onPause, when non-nil, runs once with the machine
+	// stopped at cycle pauseAt, a Δ-sample boundary, before that
+	// cycle's Step, if the phase gets there. Idle skips already stop at
+	// Δ boundaries and the slice keeps its budget, so the pause leaves
+	// the run unchanged.
+	runPhase := func(phase string, start, target, pauseAt uint64, onPause func()) (uint64, error) {
 		lastRetired := ctl.TotalRetired()
-		lastProgress := start
+		lastProgress := ctl.Now()
 		if tracer != nil {
 			tracer.Record(obs.Event{
 				Cycle: start, Kind: obs.KindPhase, Cause: phaseCause(phase),
 				Thread: -1, N: target,
 			})
 		}
-		for !ctl.Advance(target, spec.Scale.MaxCycles, start, sliceCycles) {
+		for {
+			budget := sliceCycles - (ctl.Now()-start)%sliceCycles
+			if onPause != nil && pauseAt >= ctl.Now() && pauseAt-ctl.Now() < budget {
+				n := pauseAt - ctl.Now()
+				if n > 0 && ctl.Advance(target, spec.Scale.MaxCycles, start, n) {
+					break
+				}
+				onPause()
+				onPause = nil
+				budget -= n
+			}
+			if ctl.Advance(target, spec.Scale.MaxCycles, start, budget) {
+				break
+			}
 			if tracer != nil {
 				// One watchdog slice elapsed without completing the phase.
 				tracer.Record(obs.Event{
@@ -301,12 +349,31 @@ func RunContext(ctx context.Context, spec Spec) (res *Result, err error) {
 
 	// Timing warmup: run, then discard statistics (paper: first 1M
 	// instructions excluded; also warms the fairness-mechanism state).
-	if _, err := runPhase("warmup", spec.Scale.Warm); err != nil {
-		return nil, err
+	// The warmup starts at cycle 0. A run without a snapshot offers the
+	// scope one at its fork point: the first Δ sample when the warmup
+	// reaches it, else the ResetStats flush sample at the warmup's end.
+	switch {
+	case fork == nil:
+		forked := false
+		var pause func()
+		if sib != nil && ctl.NextSampleAt() > 0 {
+			pause = func() { sib.offerFork(m, true); forked = true }
+		}
+		if _, err := runPhase("warmup", 0, spec.Scale.Warm, ctl.NextSampleAt(), pause); err != nil {
+			return nil, err
+		}
+		if !forked {
+			sib.offerFork(m, false)
+		}
+	case fork.midWarmup:
+		if _, err := runPhase("warmup", 0, spec.Scale.Warm, 0, nil); err != nil {
+			return nil, err
+		}
 	}
 	ctl.ResetStats()
+	clock.lap("timing_warm")
 
-	cycles, err := runPhase("measure", spec.Scale.Measure)
+	cycles, err := runPhase("measure", ctl.Now(), spec.Scale.Measure, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -341,10 +408,11 @@ func RunContext(ctx context.Context, spec Spec) (res *Result, err error) {
 		res.Threads = append(res.Threads, tr)
 		res.IPCTotal += tr.IPC
 	}
-	if reg := spec.Obs.Registry(); reg != nil {
+	clock.lap("measure")
+	if reg != nil {
 		// Publish the measured window's pipeline metrics. Controller
 		// counters (switches, skips, samples) accumulated live.
-		pipe.Metrics.Each(func(name string, v uint64) {
+		m.pipe.Metrics.Each(func(name string, v uint64) {
 			reg.Counter("pipe." + name).Add(v)
 		})
 		reg.Counter("sim.runs").Inc()
@@ -355,7 +423,33 @@ func RunContext(ctx context.Context, spec Spec) (res *Result, err error) {
 			reg.Counter("trace.dropped").Add(d)
 		}
 	}
+	sib.record(res)
 	return res, nil
+}
+
+// phaseClock adds the wall time of RunContext's protocol phases to
+// sim.phase.<name>_ns registry counters. A nil clock — no registry
+// attached — never reads the clock.
+type phaseClock struct {
+	reg  *obs.Registry
+	last time.Time
+}
+
+func startPhaseClock(reg *obs.Registry) *phaseClock {
+	if reg == nil {
+		return nil
+	}
+	return &phaseClock{reg: reg, last: time.Now()}
+}
+
+// lap charges the time since the previous lap to phase name.
+func (c *phaseClock) lap(name string) {
+	if c == nil {
+		return
+	}
+	now := time.Now()
+	c.reg.Counter("sim.phase." + name + "_ns").Add(uint64(now.Sub(c.last)))
+	c.last = now
 }
 
 // RunSingle runs one thread alone on the machine (the paper's IPC_ST

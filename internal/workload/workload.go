@@ -509,6 +509,14 @@ func (s *Stream) Seek(seq uint64) { s.next = seq }
 // Generator returns the underlying generator.
 func (s *Stream) Generator() *Generator { return s.gen }
 
+// CopyFrom repositions s exactly like src, memoized micro-op included.
+// s keeps its own generator, which must expand the same profile in the
+// same slot.
+func (s *Stream) CopyFrom(src *Stream) {
+	s.next = src.next
+	s.memo, s.memoSeq, s.hasMemo = src.memo, src.memoSeq, src.hasMemo
+}
+
 // Names returns the sorted list of built-in profile names.
 func Names() []string {
 	names := make([]string, 0, len(profiles))
