@@ -1,8 +1,8 @@
-// soebench runs the standing benchmark suite under all three execution
-// engines (event-wheel, idle fast-forward, and the cycle-by-cycle
-// reference), taking the median of -iters runs per cell, writes a
-// BENCH_<n>.json report, and optionally gates on a committed baseline:
-// the per-scenario engine speedup ratios must not regress by more than
+// soebench runs the standing benchmark suite under both execution
+// engines (idle fast-forward and the cycle-by-cycle reference), taking
+// the median of -iters runs per cell, writes a BENCH_<n>.json report,
+// and optionally gates on a committed baseline: the per-scenario
+// fast-forward speedup ratios must not regress by more than
 // -tolerance. -baseline accepts either a report file or a directory,
 // which resolves to its newest BENCH_<n>.json.
 //

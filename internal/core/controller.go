@@ -422,34 +422,30 @@ func (c *Controller) pickNext() int {
 }
 
 // Engine selects how Advance crosses provably idle cycle stretches.
-// All engines produce bit-identical results — the equivalence matrix
+// Both engines produce bit-identical results — the equivalence matrix
 // in internal/sim enforces this — they differ only in cost:
 //
 //   - EngineCycleByCycle is the reference: every cycle is a real Step.
-//   - EngineFastForward certifies idleness with IdleScan, which
-//     recomputes the next-event horizon from scratch at every resume
-//     point.
-//   - EngineEventWheel certifies with WheelScan, which owns the horizon
-//     in a persistent per-stage event heap (DESIGN.md §16) and is the
-//     default production engine.
+//   - EngineFastForward certifies idleness with IdleScan and jumps to
+//     its next-event horizon; it is the default production engine.
 type Engine uint8
 
 const (
 	EngineCycleByCycle Engine = iota
 	EngineFastForward
-	EngineEventWheel
 )
+
+// EngineEventWheel names the removed event-wheel engine.
+//
+// Deprecated: the event wheel is gone; this alias selects EngineFastForward.
+const EngineEventWheel = EngineFastForward
 
 // String returns the spec-level engine name.
 func (e Engine) String() string {
-	switch e {
-	case EngineFastForward:
+	if e == EngineFastForward {
 		return "fast-forward"
-	case EngineEventWheel:
-		return "event-wheel"
-	default:
-		return "cycle-by-cycle"
 	}
+	return "cycle-by-cycle"
 }
 
 // SetEngine selects the idle-stretch engine used by Advance. Stretches
@@ -462,24 +458,6 @@ func (e Engine) String() string {
 // updates are applied in bulk (see skipIdle). Defaults to
 // EngineCycleByCycle; sim.RunContext selects per Spec.Engine.
 func (c *Controller) SetEngine(e Engine) { c.engine = e }
-
-// Engine returns the selected idle-stretch engine.
-func (c *Controller) Engine() Engine { return c.engine }
-
-// SetFastForward enables (or disables) idle-stretch skipping,
-// retained for call sites predating SetEngine: on selects
-// EngineFastForward, off the cycle-by-cycle reference.
-func (c *Controller) SetFastForward(on bool) {
-	if on {
-		c.engine = EngineFastForward
-	} else {
-		c.engine = EngineCycleByCycle
-	}
-}
-
-// FastForward reports whether idle-stretch skipping is enabled under
-// any engine.
-func (c *Controller) FastForward() bool { return c.engine != EngineCycleByCycle }
 
 // MeasuredMissLat returns the mean observed head-stall latency, or the
 // configured constant when measurement is off or empty.
@@ -607,16 +585,7 @@ func (c *Controller) skipIdle(limit uint64) uint64 {
 		return 0
 	}
 
-	var (
-		end  uint64
-		rep  pipeline.IdleReport
-		idle bool
-	)
-	if c.engine == EngineEventWheel {
-		end, rep, idle = c.pipe.WheelScan(c.now)
-	} else {
-		end, rep, idle = c.pipe.IdleScan(c.now)
-	}
+	end, rep, idle := c.pipe.IdleScan(c.now)
 	if !idle {
 		return 0
 	}

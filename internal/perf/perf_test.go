@@ -144,14 +144,6 @@ func TestSpeedupDerivation(t *testing.T) {
 	if got := r.Speedups["pair"]; got != 3.0 {
 		t.Fatalf("speedup = %v, want 3.0", got)
 	}
-	addRun(t, r, "pair", "event-wheel", 0.5)
-	if got := r.Speedups["pair@event-wheel"]; got != 6.0 {
-		t.Fatalf("event-wheel speedup = %v, want 6.0", got)
-	}
-	// The legacy key must be untouched by the wheel entry.
-	if got := r.Speedups["pair"]; got != 3.0 {
-		t.Fatalf("fast-forward speedup disturbed: %v, want 3.0", got)
-	}
 }
 
 func TestWriteNumberedAndLoadRoundTrip(t *testing.T) {

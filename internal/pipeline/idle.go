@@ -14,10 +14,6 @@ package pipeline
 // so the SOE controller can replicate its per-cycle reaction exactly.
 // Results are bit-identical to cycle-by-cycle execution (verified by
 // the equivalence matrix in internal/sim).
-//
-// WheelScan (wheel.go) is the discrete-event generalization: the same
-// idleness certification, with the horizon owned by a persistent event
-// wheel instead of recomputed ad hoc. DESIGN.md §16 has the contract.
 
 // IdleReport describes the head-of-ROB pending report that retire()
 // would emit on every cycle of an idle window: the next-to-retire

@@ -237,11 +237,6 @@ type Pipeline struct {
 	eventIdx   int
 	eventStall uint64 // retirement stalled until this cycle
 
-	// wheel is the discrete-event engine's view of the machine's next
-	// state changes (see wheel.go); nil horizon sources are refreshed
-	// by WheelScan.
-	wheel EventWheel
-
 	Metrics Metrics
 }
 
@@ -390,11 +385,11 @@ func (p *Pipeline) Squash() uint64 {
 
 // CopyFrom overwrites p's whole state with src's: every in-flight
 // micro-op, the reservation stations and wake heap, the fetch queue,
-// port and store-buffer state, the event wheel and the metrics. Both
-// pipelines must share a Config. p keeps its own memory hierarchy and
-// branch unit (callers copy those layers themselves) and takes stream
-// and events as the running thread's context in place of src's; stream
-// must already be positioned like src's.
+// port and store-buffer state, and the metrics. Both pipelines must
+// share a Config. p keeps its own memory hierarchy and branch unit
+// (callers copy those layers themselves) and takes stream and events
+// as the running thread's context in place of src's; stream must
+// already be positioned like src's.
 func (p *Pipeline) CopyFrom(src *Pipeline, stream *workload.Stream, events []InjectedStall) {
 	p.tid, p.stream = src.tid, stream
 	copy(p.robUop, src.robUop)
@@ -435,7 +430,6 @@ func (p *Pipeline) CopyFrom(src *Pipeline, stream *workload.Stream, events []Inj
 
 	p.nextArchSeq = src.nextArchSeq
 	p.events, p.eventIdx, p.eventStall = events, src.eventIdx, src.eventStall
-	p.wheel.copyFrom(&src.wheel)
 	p.Metrics = src.Metrics
 }
 

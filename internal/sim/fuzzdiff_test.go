@@ -14,7 +14,7 @@ import (
 // generator deliberately squeezes Δ and the quota far below their
 // paper defaults so skip windows constantly collide with Δ-sample
 // boundaries and quota expiries — the exact off-by-one surface the
-// event wheel's horizon clipping must survive.
+// fast-forward engine's horizon clipping must survive.
 func fuzzedSpec(rng *rand.Rand, n int) Spec {
 	names := []string{"swim", "mcf", "gcc", "eon", "gzip", "art", "crafty", "vpr"}
 	m := DefaultMachine()
@@ -71,13 +71,13 @@ func fuzzedSpec(rng *rand.Rand, n int) Spec {
 	return s
 }
 
-// TestEventWheelFuzzedSpecDifferential is the property test for the
-// discrete-event engine: over randomized specs (N = 2 and N = 4,
-// fuzzed policies, Δ, quotas and injected events) the event-wheel
-// engine must produce byte-identical Results to the brute-force
-// cycle-by-cycle reference. Seeds are fixed, so a failure reproduces
-// deterministically. CI additionally runs this under -race.
-func TestEventWheelFuzzedSpecDifferential(t *testing.T) {
+// TestFastForwardFuzzedSpecDifferential is the property test for the
+// fast-forward engine: over randomized specs (N = 2 and N = 4, fuzzed
+// policies, Δ, quotas and injected events) it must produce
+// byte-identical Results to the brute-force cycle-by-cycle reference.
+// Seeds are fixed, so a failure reproduces deterministically. CI
+// additionally runs this under -race.
+func TestFastForwardFuzzedSpecDifferential(t *testing.T) {
 	type cell struct {
 		seed int64
 		n    int
@@ -100,17 +100,17 @@ func TestEventWheelFuzzedSpecDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cycle-by-cycle run: %v", err)
 			}
-			wheel := spec
-			wheel.Engine = "event-wheel"
-			wheelRes, err := Run(wheel)
+			ff := spec
+			ff.Engine = "fast-forward"
+			ffRes, err := Run(ff)
 			if err != nil {
-				t.Fatalf("event-wheel run: %v", err)
+				t.Fatalf("fast-forward run: %v", err)
 			}
 			refJSON := mustResultJSON(t, refRes)
-			wheelJSON := mustResultJSON(t, wheelRes)
-			if string(refJSON) != string(wheelJSON) {
-				t.Errorf("event-wheel diverges from reference\nwheel:     %s\nreference: %s",
-					firstDiff(wheelJSON, refJSON), firstDiffOther(wheelJSON, refJSON))
+			ffJSON := mustResultJSON(t, ffRes)
+			if string(refJSON) != string(ffJSON) {
+				t.Errorf("fast-forward diverges from reference\nfast-forward: %s\nreference:    %s",
+					firstDiff(ffJSON, refJSON), firstDiffOther(ffJSON, refJSON))
 			}
 		})
 	}

@@ -115,14 +115,14 @@ func runCellHashes(t *testing.T, spec Spec) goldenCell {
 	t.Helper()
 	cell := goldenCell{Fingerprint: specFingerprintHex(t, spec)}
 	ff := spec
-	ff.CycleByCycle = false
+	ff.Engine = "fast-forward"
 	ffRes, err := Run(ff)
 	if err != nil {
 		t.Fatalf("fast-forward run: %v", err)
 	}
 	cell.FastForward = sha256Hex(mustResultJSON(t, ffRes))
 	ref := spec
-	ref.CycleByCycle = true
+	ref.Engine = "cycle-by-cycle"
 	refRes, err := Run(ref)
 	if err != nil {
 		t.Fatalf("cycle-by-cycle run: %v", err)

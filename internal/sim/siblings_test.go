@@ -294,7 +294,7 @@ func TestSiblingsMachineCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.ctl.SetEngine(core.EngineEventWheel)
+		m.ctl.SetEngine(core.EngineFastForward)
 		return m
 	}
 	src := build()

@@ -100,18 +100,18 @@ type Spec struct {
 	Scale    Scale
 	Watchdog Watchdog
 
-	// Engine names the idle-stretch engine: "event-wheel" (the
-	// default), "fast-forward", or "cycle-by-cycle" (the reference that
-	// executes every simulated cycle individually). All engines produce
+	// Engine names the idle-stretch engine: "fast-forward" (the
+	// default, also selected by "") or "cycle-by-cycle" (the reference
+	// that executes every simulated cycle individually). Both produce
 	// bit-identical Results — verified by the equivalence matrix in
 	// fastforward_test.go — so this exists for verification and for
-	// benchmarking the engines against each other (DESIGN.md §9, §16).
-	// Empty defers to the legacy CycleByCycle switch.
+	// benchmarking the engines against each other (DESIGN.md §9).
 	Engine string
 
-	// CycleByCycle is the pre-Engine form of selecting the reference
-	// engine; it is consulted only when Engine is empty. Retained so
-	// existing call sites and serialized specs keep their meaning.
+	// CycleByCycle selects the reference engine when Engine is empty.
+	//
+	// Deprecated: set Engine to "cycle-by-cycle". Only the perfbench
+	// replica still reads this field.
 	CycleByCycle bool
 
 	// Obs, when non-nil, attaches the observability layer (DESIGN.md
