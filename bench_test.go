@@ -18,6 +18,7 @@
 package soemt_test
 
 import (
+	"context"
 	"io"
 	"math"
 	"os"
@@ -57,7 +58,7 @@ func matrix(b *testing.B) []*experiments.PairRun {
 	b.Helper()
 	matrixOnce.Do(func() {
 		r := experiments.NewRunner(benchOptions())
-		matrixRuns, matrixErr = r.RunAll()
+		matrixRuns, matrixErr = r.RunAllContext(context.Background())
 	})
 	if matrixErr != nil {
 		b.Fatal(matrixErr)
@@ -110,10 +111,10 @@ func BenchmarkExample1(b *testing.B) {
 	var fair float64
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchOptions())
-		if err := experiments.ExpExample1(io.Discard, r); err != nil {
+		if err := experiments.ExpExample1Context(context.Background(), io.Discard, r); err != nil {
 			b.Fatal(err)
 		}
-		pr, err := r.RunPair(experiments.Pair{A: "gcc", B: "eon"})
+		pr, err := r.RunPairContext(context.Background(), experiments.Pair{A: "gcc", B: "eon"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func BenchmarkFig5(b *testing.B) {
 	var meanFair float64
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchOptions())
-		d, err := experiments.ExpFig5(io.Discard, r)
+		d, err := experiments.ExpFig5Context(context.Background(), io.Discard, r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +195,7 @@ func BenchmarkTimeShare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchOptions())
 		var err error
-		sum, err = experiments.ExpTimeShare(io.Discard, r)
+		sum, err = experiments.ExpTimeShareContext(context.Background(), io.Discard, r)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,7 +22,6 @@ import (
 
 func main() {
 	var (
-		scaleName = flag.String("scale", "quick", "protocol scale: tiny, quick, paper")
 		outDir    = flag.String("out", ".", "directory for the numbered BENCH_<n>.json report")
 		outFile   = flag.String("o", "", "exact report path (overrides -out numbering)")
 		baseline  = flag.String("baseline", "", "baseline report, or directory holding BENCH_<n>.json files, to gate against (empty = no gate)")
@@ -31,22 +30,23 @@ func main() {
 		minFF     = flag.Float64("min-speedup", 0, "fail unless some scenario's engine speedup reaches this")
 		obsRounds = flag.Int("obs-rounds", 3, "best-of rounds for the observability overhead measurement (0 = skip)")
 		maxObs    = flag.Float64("max-obs-overhead", 0, "fail if the obs-on/obs-off wall-time ratio exceeds this (0 = no gate)")
+		rf        = cli.Register(flag.CommandLine, "quick", 0)
 	)
 	flag.Parse()
 
-	scale, err := sim.ScaleByName(*scaleName)
+	scale, err := sim.ScaleByName(rf.Scale)
 	if err != nil {
-		fatal(err)
+		cli.Fatal("soebench", err)
 	}
 	ctx, cancel := cli.SignalContext()
 	defer cancel()
 
-	report := perf.NewReport(*scaleName)
+	report := perf.NewReport(rf.Scale)
 	suite := perf.DefaultSuite(scale)
 	if err := perf.RunSuite(ctx, report, suite, *iters, func(line string) {
 		fmt.Fprintln(os.Stderr, line)
 	}); err != nil {
-		fatal(err)
+		cli.Fatal("soebench", err)
 	}
 	var obsRatio float64
 	if *obsRounds > 0 {
@@ -54,7 +54,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, line)
 		})
 		if err != nil {
-			fatal(err)
+			cli.Fatal("soebench", err)
 		}
 	}
 
@@ -65,7 +65,7 @@ func main() {
 		path, err = report.WriteNumbered(*outDir)
 	}
 	if err != nil {
-		fatal(err)
+		cli.Fatal("soebench", err)
 	}
 	fmt.Println(path)
 
@@ -77,29 +77,24 @@ func main() {
 			}
 		}
 		if best < *minFF {
-			fatal(fmt.Errorf("best engine speedup %.2fx below required %.2fx", best, *minFF))
+			cli.Fatal("soebench", fmt.Errorf("best engine speedup %.2fx below required %.2fx", best, *minFF))
 		}
 	}
 	if *maxObs > 0 && obsRatio > *maxObs {
-		fatal(fmt.Errorf("observability overhead ratio %.3f exceeds allowed %.3f", obsRatio, *maxObs))
+		cli.Fatal("soebench", fmt.Errorf("observability overhead ratio %.3f exceeds allowed %.3f", obsRatio, *maxObs))
 	}
 	if *baseline != "" {
 		basePath, err := perf.ResolveBaseline(*baseline)
 		if err != nil {
-			fatal(err)
+			cli.Fatal("soebench", err)
 		}
 		base, err := perf.Load(basePath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal("soebench", err)
 		}
 		if err := perf.Compare(report, base, *tolerance); err != nil {
-			fatal(err)
+			cli.Fatal("soebench", err)
 		}
 		fmt.Fprintf(os.Stderr, "baseline gate passed vs %s (tolerance %.0f%%)\n", basePath, *tolerance*100)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "soebench:", err)
-	os.Exit(1)
 }

@@ -42,6 +42,7 @@ import (
 	"syscall"
 	"time"
 
+	"soemt/internal/cli"
 	"soemt/internal/experiments"
 	"soemt/internal/serve"
 	"soemt/internal/sim"
@@ -63,8 +64,9 @@ func main() {
 		out      = flag.String("o", "", "output file for -fit (default stdout)")
 		rate     = flag.Float64("rate", 5, "request rate of the fitted spec (req/s)")
 		fitDur   = flag.Duration("fit-duration", 10*time.Second, "duration of the fitted spec")
-		fitScale = flag.String("fit-scale", "tiny", "engine scale for calibration runs: tiny, quick or paper")
+		fitScale string
 	)
+	cli.ScaleVar(flag.CommandLine, &fitScale, "fit-scale", "tiny")
 	flag.Parse()
 
 	var err error
@@ -78,14 +80,13 @@ func main() {
 	case *replay != "":
 		err = runReplay(*replay, *addr, *speed, *retries)
 	case *fit != "":
-		err = runFit(*fit, *out, *rate, *fitDur, *fitScale)
+		err = runFit(*fit, *out, *rate, *fitDur, fitScale)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "soegen:", err)
-		os.Exit(1)
+		cli.Fatal("soegen", err)
 	}
 }
 

@@ -22,9 +22,7 @@ import (
 	"os"
 
 	"soemt/internal/cli"
-	"soemt/internal/experiments"
 	"soemt/internal/hypotheses"
-	"soemt/internal/sim"
 )
 
 func main() {
@@ -32,10 +30,9 @@ func main() {
 		list     = flag.Bool("list", false, "list registered experiments and exit")
 		runArg   = flag.String("run", "", "run a single experiment by name")
 		all      = flag.Bool("all", false, "run every registered experiment")
-		scaleArg = flag.String("scale", "tiny", "tiny, quick or paper")
 		outDir   = flag.String("out", "", "write FINDINGS_<name>.md files into this directory instead of stdout")
 		checkDir = flag.String("check", "", "compare fresh statuses against the committed FINDINGS in this directory; any mismatch or missing marker fails")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (content-addressed; see DESIGN.md)")
+		rf       = cli.Register(flag.CommandLine, "tiny", cli.CacheDir)
 	)
 	flag.Parse()
 
@@ -51,7 +48,7 @@ func main() {
 	case *runArg != "":
 		e, ok := hypotheses.ByName(*runArg)
 		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q (try -list)", *runArg))
+			cli.Fatal("soehyp", fmt.Errorf("unknown experiment %q (try -list)", *runArg))
 		}
 		selected = []hypotheses.Experiment{e}
 	case *all:
@@ -61,74 +58,65 @@ func main() {
 		os.Exit(2)
 	}
 
-	scale, err := sim.ScaleByName(*scaleArg)
-	if err != nil {
-		fatal(err)
-	}
-	cache, err := experiments.NewCache(*cacheDir)
-	if err != nil {
-		fatal(err)
-	}
-	cache.Logf = func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "soehyp: "+format+"\n", args...)
-	}
-	ctx, stop := cli.SignalContext()
-	defer stop()
-
-	env := hypotheses.Env{Ctx: ctx, ScaleName: *scaleArg, Scale: scale, Cache: cache}
-	failed := false
-	for _, e := range selected {
-		o, err := e.Run(env)
-		if err != nil {
-			fatal(fmt.Errorf("experiment %s: %w", e.Name, err))
-		}
-		status := "SUPPORTED"
-		if !o.Supported() {
-			status = "REFUTED"
-			failed = true
-		}
-		fmt.Fprintf(os.Stderr, "soehyp: %s: %s (scale=%s)\n", e.Name, status, *scaleArg)
-
-		if *outDir != "" {
-			path := hypotheses.FindingsPath(*outDir, e.Name)
-			f, err := os.Create(path)
+	rf.Run("soehyp", func(s *cli.Session) error {
+		env := hypotheses.Env{Ctx: s.Ctx, ScaleName: rf.Scale, Scale: s.Scale, Cache: s.Cache}
+		failed := 0
+		for _, e := range selected {
+			o, err := e.Run(env)
 			if err != nil {
-				fatal(err)
+				return fmt.Errorf("experiment %s: %w", e.Name, err)
 			}
-			if err := hypotheses.WriteFindings(f, e, env, o); err != nil {
-				f.Close()
-				fatal(err)
+			status := "SUPPORTED"
+			if !o.Supported() {
+				status = "REFUTED"
 			}
-			if err := f.Close(); err != nil {
-				fatal(err)
+			fmt.Fprintf(os.Stderr, "soehyp: %s: %s (scale=%s)\n", e.Name, status, rf.Scale)
+			if err := writeFindings(*outDir, e, env, o); err != nil {
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "soehyp: wrote %s\n", path)
-		} else {
-			if err := hypotheses.WriteFindings(os.Stdout, e, env, o); err != nil {
-				fatal(err)
+			ok := o.Supported()
+			if *checkDir != "" {
+				path := hypotheses.FindingsPath(*checkDir, e.Name)
+				committed, marked := hypotheses.ReadStatus(path)
+				switch {
+				case !marked:
+					fmt.Fprintf(os.Stderr, "soehyp: REGRESSION: %s has no committed status marker\n", path)
+					ok = false
+				case committed != status:
+					fmt.Fprintf(os.Stderr, "soehyp: REGRESSION: %s committed %s but measured %s at scale %s\n",
+						e.Name, committed, status, rf.Scale)
+					ok = false
+				}
+			}
+			if !ok {
+				failed++
 			}
 		}
-
-		if *checkDir != "" {
-			path := hypotheses.FindingsPath(*checkDir, e.Name)
-			committed, ok := hypotheses.ReadStatus(path)
-			switch {
-			case !ok:
-				fmt.Fprintf(os.Stderr, "soehyp: REGRESSION: %s has no committed status marker\n", path)
-				failed = true
-			case committed != status:
-				fmt.Fprintf(os.Stderr, "soehyp: REGRESSION: %s committed %s but measured %s at scale %s\n",
-					e.Name, committed, status, *scaleArg)
-				failed = true
-			}
+		if failed > 0 {
+			return fmt.Errorf("%d of %d experiments refuted or regressed", failed, len(selected))
 		}
-	}
-	if failed {
-		os.Exit(1)
-	}
+		return nil
+	})
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "soehyp:", err)
-	os.Exit(1)
+// writeFindings writes e's findings to dir/FINDINGS_<name>.md, or to
+// stdout when dir is "".
+func writeFindings(dir string, e hypotheses.Experiment, env hypotheses.Env, o *hypotheses.Outcome) error {
+	if dir == "" {
+		return hypotheses.WriteFindings(os.Stdout, e, env, o)
+	}
+	path := hypotheses.FindingsPath(dir, e.Name)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := hypotheses.WriteFindings(f, e, env, o); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "soehyp: wrote %s\n", path)
+	return nil
 }

@@ -48,13 +48,13 @@ func main() {
 
 	if *status {
 		if err := printStatus(*addr); err != nil {
-			fatal(err)
+			cli.Fatal("soeproxy", err)
 		}
 		return
 	}
-	nodeList := splitNodes(*nodes)
+	nodeList := cli.SplitList(*nodes)
 	if len(nodeList) == 0 {
-		fatal(errors.New("-nodes is required (comma-separated soeserve URLs)"))
+		cli.Fatal("soeproxy", errors.New("-nodes is required (comma-separated soeserve URLs)"))
 	}
 
 	reg := obs.NewRegistry() // shared: cluster.* and proxy.* side by side on /metrics
@@ -66,7 +66,7 @@ func main() {
 		Logf:           log.Printf,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal("soeproxy", err)
 	}
 	px, err := proxy.New(proxy.Config{
 		Cluster:      cl,
@@ -77,7 +77,7 @@ func main() {
 		Logf:         log.Printf,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal("soeproxy", err)
 	}
 
 	ctx, stop := cli.SignalContext()
@@ -99,19 +99,9 @@ func main() {
 	log.Printf("soeproxy: listening on %s, routing over %d nodes (%s)",
 		*addr, len(nodeList), strings.Join(nodeList, ", "))
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
+		cli.Fatal("soeproxy", err)
 	}
 	<-stopped
-}
-
-func splitNodes(s string) []string {
-	var out []string
-	for _, n := range strings.Split(s, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // printStatus fetches and prints the /status JSON of a running
@@ -134,9 +124,4 @@ func printStatus(addr string) error {
 	}
 	_, err = io.Copy(os.Stdout, resp.Body)
 	return err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "soeproxy:", err)
-	os.Exit(1)
 }

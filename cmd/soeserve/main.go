@@ -18,11 +18,8 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"strings"
 	"time"
 
 	"soemt/internal/cli"
@@ -35,10 +32,8 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		queueDepth   = flag.Int("queue", 64, "max accepted-but-unfinished jobs; beyond this, submissions get 429")
-		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		batchSize    = flag.Int("batch", 8, "max jobs per dispatched batch")
 		batchDelay   = flag.Duration("batch-delay", 2*time.Millisecond, "max wait to fill a batch after the first job")
-		cacheDir     = flag.String("cache-dir", "", "persistent result cache directory (content-addressed; see DESIGN.md)")
 		traceCap     = flag.Int("trace-cap", 1<<16, "event-tracer ring capacity for trace-requesting jobs")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "max time to finish accepted jobs on shutdown before cancelling them")
 		tier         = flag.String("tier", "auto", "default serving tier when requests leave it unset: fast (calibrated model, synchronous), exact (cycle-accurate job), or auto (fast answer + exact refinement)")
@@ -53,6 +48,7 @@ func main() {
 		peerTimeout   = flag.Duration("peer-timeout", 2*time.Second, "max time for one peer cache fetch before degrading to a local run")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "peer /healthz probe interval")
 		timeouts      = cli.DefaultHTTPTimeouts()
+		rf            = cli.Register(flag.CommandLine, "", cli.CacheDir|cli.Workers)
 	)
 	timeouts.Flags(flag.CommandLine)
 	flag.Parse()
@@ -61,17 +57,17 @@ func main() {
 	if *calibration != "" {
 		var err error
 		if cal, err = model.LoadCalibration(*calibration); err != nil {
-			fatal(err)
+			cli.Fatal("soeserve", err)
 		}
 		log.Printf("soeserve: fast tier calibrated from %s (%s, bars ±%.1f%% IPC / ±%.2f fairness)",
 			*calibration, cal.Source, cal.ErrIPCPc, cal.ErrFairness)
 	}
 	srv, err := serve.NewServer(serve.Config{
 		QueueDepth:      *queueDepth,
-		Workers:         *workers,
+		Workers:         rf.Workers,
 		BatchSize:       *batchSize,
 		BatchDelay:      *batchDelay,
-		CacheDir:        *cacheDir,
+		CacheDir:        rf.CacheDir,
 		TraceCap:        *traceCap,
 		DefaultTier:     *tier,
 		Calibration:     cal,
@@ -82,24 +78,24 @@ func main() {
 		Logf:            log.Printf,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal("soeserve", err)
 	}
 	cli.NoteResume("soeserve", srv.Cache())
 
 	var cl *cluster.Cluster
 	if *peers != "" {
 		if *self == "" {
-			fatal(errors.New("-peers requires -self (this node's URL in the list)"))
+			cli.Fatal("soeserve", errors.New("-peers requires -self (this node's URL in the list)"))
 		}
 		cl, err = cluster.New(cluster.Config{
 			Self:          *self,
-			Nodes:         splitPeers(*peers),
+			Nodes:         cli.SplitList(*peers),
 			ProbeInterval: *probeInterval,
 			Registry:      srv.Observability(),
 			Logf:          log.Printf,
 		})
 		if err != nil {
-			fatal(err)
+			cli.Fatal("soeserve", err)
 		}
 		srv.SetPeers(cl, *peerTimeout)
 		log.Printf("soeserve: cluster member %s of %s (peer fill on, timeout %s)", *self, *peers, *peerTimeout)
@@ -135,24 +131,9 @@ func main() {
 	}()
 
 	log.Printf("soeserve: listening on %s (queue=%d workers=%d batch=%d/%s cache=%q)",
-		*addr, *queueDepth, *workers, *batchSize, *batchDelay, *cacheDir)
+		*addr, *queueDepth, rf.Workers, *batchSize, *batchDelay, rf.CacheDir)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
+		cli.Fatal("soeserve", err)
 	}
 	<-drained
-}
-
-func splitPeers(s string) []string {
-	var out []string
-	for _, n := range strings.Split(s, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "soeserve:", err)
-	os.Exit(1)
 }

@@ -2,24 +2,27 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"soemt/internal/sim"
 	"soemt/internal/stats"
 )
 
 // dumpSamples prints the Δ-window sampling series (quota evolution),
-// used with -samples for debugging the enforcement loop.
-func dumpSamples(res *sim.Result) {
-	t := stats.NewTable("cycle", "estST0", "winIPC0", "quota0", "estST1", "winIPC1", "quota1")
-	for _, s := range res.Samples {
-		t.AddRow(fmt.Sprintf("%d", s.Cycle),
-			fmt.Sprintf("%.3f", s.Threads[0].EstIPCST),
-			fmt.Sprintf("%.3f", s.Threads[0].WindowIPC),
-			fmt.Sprintf("%.0f", s.Threads[0].Quota),
-			fmt.Sprintf("%.3f", s.Threads[1].EstIPCST),
-			fmt.Sprintf("%.3f", s.Threads[1].WindowIPC),
-			fmt.Sprintf("%.0f", s.Threads[1].Quota))
+// one column group per thread; used with -samples for debugging the
+// enforcement loop.
+func dumpSamples(w io.Writer, res *sim.Result) {
+	header := []string{"cycle"}
+	for i := range res.Threads {
+		header = append(header, fmt.Sprintf("estST%d", i), fmt.Sprintf("winIPC%d", i), fmt.Sprintf("quota%d", i))
 	}
-	t.WriteTo(os.Stdout)
+	t := stats.NewTable(header...)
+	for _, s := range res.Samples {
+		row := []string{fmt.Sprintf("%d", s.Cycle)}
+		for _, th := range s.Threads {
+			row = append(row, fmt.Sprintf("%.3f", th.EstIPCST), fmt.Sprintf("%.3f", th.WindowIPC), fmt.Sprintf("%.0f", th.Quota))
+		}
+		t.AddRow(row...)
+	}
+	t.WriteTo(w)
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"soemt/internal/cli"
@@ -54,7 +53,6 @@ func main() {
 		friendWt   = flag.Float64("friendly-weight", 0, "grouped-fairness friendly-group grant weight (0 = default 1)")
 		minAggFrac = flag.Float64("min-agg-frac", 0, "malthusian demotion threshold as a fraction of peak aggregate IPC (0 = default 0.9)")
 		probeEvery = flag.Int("probe-every", 0, "malthusian reactivation probe period in Δ windows (0 = default 8)")
-		scaleArg   = flag.String("scale", "quick", "tiny, quick or paper")
 		ref        = flag.Bool("ref", false, "also run single-thread references and report fairness")
 		pauseSw    = flag.Bool("pause-switch", false, "switch threads on retired PAUSE hints")
 		measured   = flag.Bool("measured-misslat", false, "estimate Miss_lat from observed stalls")
@@ -64,9 +62,6 @@ func main() {
 		l1switch   = flag.Bool("l1-switch", false, "also switch on unresolved L1 misses (§6 extension)")
 		prefetch   = flag.Int("prefetch", 0, "next-line L2 prefetch degree (0 = off)")
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON")
-		cacheDir   = flag.String("cache-dir", "", "persistent result cache directory (content-addressed; see DESIGN.md)")
-		metricsOut = flag.Bool("metrics", false, "print run/cache metrics to stderr on exit")
-		timeout    = flag.Duration("timeout", 0, "wall-clock budget per simulation, e.g. 90s (0 = unlimited); an exceeded run fails with a deadline error")
 		stallCap   = flag.Uint64("stall-cycles", 0, "abort a run making no forward progress for this many cycles (0 = default watchdog)")
 		cycleRef   = flag.Bool("cycle-by-cycle", false, "disable the idle fast-forward and execute every cycle (reference engine)")
 		pprofOut   = flag.String("pprof", "", "write a CPU profile of the simulation to this file")
@@ -77,252 +72,185 @@ func main() {
 		modelOut   = flag.Bool("model", false, "answer from the calibrated analytical model instead of simulating (honors -threads, -F, -timeshare, -json)")
 		calFile    = flag.String("calibration", "", "calibration table for -model (default: profile-derived fit with wide error bars)")
 		calOut     = flag.String("calibrate", "", "fit a calibration table against the engine and write it to this file (uses -threads a,b as the replay pair, or the full matrix)")
+		rf         = cli.Register(flag.CommandLine, "quick", cli.CacheDir|cli.Metrics|cli.Timeout)
 	)
 	flag.Parse()
-
-	if *calOut != "" {
-		if err := runCalibrate(*calOut, *threadsArg, *scaleArg); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *modelOut {
-		if err := runModel(*threadsArg, *fArg, *timeshare, *calFile, *jsonOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	scale, err := sim.ScaleByName(*scaleArg)
-	if err != nil {
-		fatal(err)
-	}
-	machine := sim.DefaultMachine()
-	switch {
-	case *policyArg != "":
-		p, err := core.PolicyByName(*policyArg, core.PolicyParams{
-			F: *fArg, QuotaCycles: *timeshare,
-			Weights:  parseWeights(*weightsArg),
-			CPMSplit: *cpmSplit, MissyWeight: *missyWt, FriendWt: *friendWt,
-			MinAggFrac: *minAggFrac, ProbeEvery: *probeEvery,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		machine.Controller.Policy = p
-	case *timeshare > 0:
-		machine.Controller.Policy = core.TimeShare{QuotaCycles: *timeshare}
-	case *fArg > 0:
-		machine.Controller.Policy = core.Fairness{F: *fArg}
-	default:
-		machine.Controller.Policy = core.EventOnly{}
-	}
-	machine.Controller.SwitchOnPause = *pauseSw
-	machine.Controller.MeasureMissLat = *measured
-	machine.Controller.SmoothAlpha = *smooth
-	machine.Controller.CountAllMisses = *countAll
-	machine.Controller.SwitchOnL1Miss = *l1switch
-	machine.Memory.PrefetchDegree = *prefetch
-
-	specs, err := buildThreads(*threadsArg, *traceArg)
-	if err != nil {
-		fatal(err)
-	}
-	if len(specs) == 0 {
+	if *calOut == "" && !*modelOut && *threadsArg == "" && *traceArg == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	cache, err := experiments.NewCache(*cacheDir)
-	if err != nil {
-		fatal(err)
-	}
-	cache.Logf = func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "soesim: "+format+"\n", args...)
-	}
-	if *metricsOut {
-		defer func() { fmt.Fprintf(os.Stderr, "soesim: metrics: %s\n", cache.Metrics()) }()
-	}
-	if *obsMetrics {
-		defer func() {
-			fmt.Fprintln(os.Stderr, "soesim: observability registry:")
-			cache.Observability().WriteTo(os.Stderr)
-		}()
-	}
-
-	// A live tracer requires an actual simulation: cache hits skip the
-	// run and record nothing, so tracing runs go straight to the engine.
-	tracing := *traceOut != "" || *traceCSV != ""
-	var tracer *obs.Tracer
-	if tracing {
-		tracer = obs.NewTracer(0)
 	}
 
 	// SIGINT/SIGTERM cancel the run between execution slices; finished
 	// simulations stay in the cache, and the cache dir is marked so a
 	// rerun knows it is resuming. A second signal kills immediately.
-	ctx, stop := cli.SignalContext()
-	defer stop()
-	cli.NoteResume("soesim", cache)
-	defer cli.ClearInterrupted("soesim", cache) // skipped by os.Exit on failure paths
-	exitErr := func(err error) {
-		if cli.Interrupted(ctx, err) {
-			cli.MarkInterrupted("soesim", cache, "interrupted by signal")
-			fmt.Fprintln(os.Stderr, "soesim: interrupted; completed simulations are cached — rerun with the same -cache-dir to resume")
-			os.Exit(cli.ExitInterrupted)
+	rf.Run("soesim", func(s *cli.Session) error {
+		switch {
+		case *calOut != "":
+			return runCalibrate(s, *calOut, *threadsArg)
+		case *modelOut:
+			return runModel(*threadsArg, *fArg, *timeshare, *calFile, *jsonOut)
 		}
-		fatal(err)
-	}
-	watchdog := sim.Watchdog{Timeout: *timeout, StallCycles: *stallCap}
-
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-
-	engine := "fast-forward"
-	if *cycleRef {
-		engine = "cycle-by-cycle"
-	}
-	spec := sim.Spec{
-		Machine: machine, Threads: specs, Scale: scale,
-		Watchdog: watchdog, Engine: engine,
-	}
-	if tracing {
-		spec.Obs = &obs.Observer{Trace: tracer, Metrics: cache.Observability()}
-	}
-	var res *sim.Result
-	run := func() (uint64, uint64, error) {
-		var r *sim.Result
-		var err error
-		if tracing {
-			r, err = sim.RunContext(ctx, spec)
-		} else {
-			r, err = cache.RunSpecContext(ctx, spec)
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		res = r
-		var instrs uint64
-		for _, th := range r.Threads {
-			instrs += th.Counters.Instrs
-		}
-		return r.WallCycles, instrs, nil
-	}
-	if *benchDir != "" {
-		report := perf.NewReport(*scaleArg)
-		entry, err := perf.Measure(*threadsArg, spec.Engine, run)
-		if err != nil {
-			exitErr(err)
-		}
-		report.Add(entry)
-		path, err := report.WriteNumbered(*benchDir)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "soesim: wrote %s (%.3fs, %.0f cycles/s)\n", path, entry.Seconds, entry.CyclesPerSec)
-	} else if _, _, err := run(); err != nil {
-		exitErr(err)
-	}
-	if res.Truncated {
-		fmt.Fprintf(os.Stderr, "soesim: WARNING: run truncated at MaxCycles=%d before reaching Measure=%d; IPC is approximate\n",
-			scale.MaxCycles, scale.Measure)
-	}
-	if tracing {
-		if err := writeTraces(tracer, specs, *traceOut, *traceCSV); err != nil {
-			fatal(err)
-		}
-	}
-
-	refIPC := func() (ipcST, speedups []float64) {
-		var ipcSOE []float64
-		for i, ts := range specs {
-			refMachine := sim.DefaultMachine()
-			refMachine.Controller.Policy = core.EventOnly{}
-			stRes, err := cache.RunSpecContext(ctx, sim.Spec{
-				Machine:  refMachine,
-				Threads:  []sim.ThreadSpec{{Profile: ts.Profile, Slot: ts.Slot, StartSeq: ts.StartSeq}},
-				Scale:    scale,
-				Watchdog: watchdog,
+		machine := sim.DefaultMachine()
+		switch {
+		case *policyArg != "":
+			weights, err := cli.ParseFloats(*weightsArg)
+			if err != nil {
+				return fmt.Errorf("-weights: %w", err)
+			}
+			p, err := core.PolicyByName(*policyArg, core.PolicyParams{
+				F: *fArg, QuotaCycles: *timeshare, Weights: weights,
+				CPMSplit: *cpmSplit, MissyWeight: *missyWt, FriendWt: *friendWt,
+				MinAggFrac: *minAggFrac, ProbeEvery: *probeEvery,
 			})
 			if err != nil {
-				exitErr(err)
+				return err
 			}
-			ipcSOE = append(ipcSOE, res.Threads[i].IPC)
-			ipcST = append(ipcST, stRes.Threads[0].IPC)
+			machine.Controller.Policy = p
+		case *timeshare > 0:
+			machine.Controller.Policy = core.TimeShare{QuotaCycles: *timeshare}
+		default:
+			machine.Controller.Policy = experiments.PolicyFor(*fArg)
 		}
-		return ipcST, core.Speedups(ipcSOE, ipcST)
-	}
+		machine.Controller.SwitchOnPause = *pauseSw
+		machine.Controller.MeasureMissLat = *measured
+		machine.Controller.SmoothAlpha = *smooth
+		machine.Controller.CountAllMisses = *countAll
+		machine.Controller.SwitchOnL1Miss = *l1switch
+		machine.Memory.PrefetchDegree = *prefetch
 
-	if *jsonOut {
-		var ipcST, sp []float64
-		if *ref && len(specs) > 1 {
-			ipcST, sp = refIPC()
-		}
-		if err := emitJSON(machine.Controller.Policy.Name(), res, ipcST, sp); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	fmt.Printf("policy: %s   cycles: %d   total IPC: %.3f\n",
-		machine.Controller.Policy.Name(), res.WallCycles, res.IPCTotal)
-	t := stats.NewTable("thread", "instrs", "run cycles", "misses", "IPC", "IPM", "est IPC_ST", "visits", "instr/visit")
-	for _, tr := range res.Threads {
-		t.AddRow(tr.Name,
-			fmt.Sprintf("%d", tr.Counters.Instrs),
-			fmt.Sprintf("%d", tr.Counters.Cycles),
-			fmt.Sprintf("%d", tr.Counters.Misses),
-			fmt.Sprintf("%.3f", tr.IPC),
-			fmt.Sprintf("%.0f", tr.IPM),
-			fmt.Sprintf("%.3f", tr.EstIPCST),
-			fmt.Sprintf("%d", tr.Visits),
-			fmt.Sprintf("%.0f", tr.AvgVisit))
-	}
-	t.WriteTo(os.Stdout)
-	sw := res.Switches
-	fmt.Printf("switches: miss=%d quota=%d maxq=%d pause=%d (forced/1k cycles: %.2f)\n",
-		sw.Miss, sw.Quota, sw.MaxQuota, sw.Pause, res.ForcedPer1k())
-	if *samples {
-		dumpSamples(res)
-	}
-
-	if *ref && len(specs) > 1 {
-		ipcST, sp := refIPC()
-		fmt.Println()
-		for i, ts := range specs {
-			fmt.Printf("%-10s IPC_ST=%.3f speedup=%.3f\n", ts.Profile.Name, ipcST[i], sp[i])
-		}
-		fmt.Printf("fairness (Eq. 4): %.3f   weighted speedup: %.3f   harmonic: %.3f\n",
-			core.FairnessMetric(sp), core.WeightedSpeedup(sp), core.HarmonicFairness(sp))
-	}
-}
-
-// parseWeights parses a comma-separated weight list; empty means nil
-// (WFQGrant defaults every thread to weight 1).
-func parseWeights(s string) []float64 {
-	if s == "" {
-		return nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		specs, err := buildThreads(*threadsArg, *traceArg)
 		if err != nil {
-			fatal(fmt.Errorf("bad weight %q: %w", part, err))
+			return err
 		}
-		out = append(out, v)
-	}
-	return out
+		if *obsMetrics {
+			defer func() {
+				fmt.Fprintln(os.Stderr, "soesim: observability registry:")
+				s.Cache.Observability().WriteTo(os.Stderr)
+			}()
+		}
+		if *pprofOut != "" {
+			f, err := os.Create(*pprofOut)
+			if err != nil {
+				return err
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				return err
+			}
+			defer func() {
+				pprof.StopCPUProfile()
+				f.Close()
+			}()
+		}
+
+		engine := "fast-forward"
+		if *cycleRef {
+			engine = "cycle-by-cycle"
+		}
+		spec := sim.Spec{
+			Machine: machine, Threads: specs, Scale: s.Scale,
+			Watchdog: s.Watchdog, Engine: engine,
+		}
+		spec.Watchdog.StallCycles = *stallCap
+		// A live tracer requires an actual simulation: cache hits skip the
+		// run and record nothing, so tracing runs go straight to the engine.
+		tracing := *traceOut != "" || *traceCSV != ""
+		var tracer *obs.Tracer
+		if tracing {
+			tracer = obs.NewTracer(0)
+			spec.Obs = &obs.Observer{Trace: tracer, Metrics: s.Cache.Observability()}
+		}
+		var res *sim.Result
+		run := func() (uint64, uint64, error) {
+			var r *sim.Result
+			var err error
+			if tracing {
+				r, err = sim.RunContext(s.Ctx, spec)
+			} else {
+				r, err = s.Cache.RunSpecContext(s.Ctx, spec)
+			}
+			if err != nil {
+				return 0, 0, err
+			}
+			res = r
+			var instrs uint64
+			for _, th := range r.Threads {
+				instrs += th.Counters.Instrs
+			}
+			return r.WallCycles, instrs, nil
+		}
+		if *benchDir != "" {
+			report := perf.NewReport(rf.Scale)
+			entry, err := perf.Measure(*threadsArg, spec.Engine, run)
+			if err != nil {
+				return err
+			}
+			report.Add(entry)
+			path, err := report.WriteNumbered(*benchDir)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "soesim: wrote %s (%.3fs, %.0f cycles/s)\n", path, entry.Seconds, entry.CyclesPerSec)
+		} else if _, _, err := run(); err != nil {
+			return err
+		}
+		if res.Truncated {
+			fmt.Fprintf(os.Stderr, "soesim: WARNING: run truncated at MaxCycles=%d before reaching Measure=%d; IPC is approximate\n",
+				s.Scale.MaxCycles, s.Scale.Measure)
+		}
+		if tracing {
+			if err := writeTraces(tracer, specs, *traceOut, *traceCSV); err != nil {
+				return err
+			}
+		}
+
+		withRef := *ref && len(specs) > 1
+		if *jsonOut {
+			var ipcST, sp []float64
+			if withRef {
+				if ipcST, sp, err = experiments.RefSpeedups(s.Ctx, s.Cache, spec, res); err != nil {
+					return err
+				}
+			}
+			return emitJSON(machine.Controller.Policy.Name(), res, ipcST, sp)
+		}
+
+		fmt.Printf("policy: %s   cycles: %d   total IPC: %.3f\n",
+			machine.Controller.Policy.Name(), res.WallCycles, res.IPCTotal)
+		t := stats.NewTable("thread", "instrs", "run cycles", "misses", "IPC", "IPM", "est IPC_ST", "visits", "instr/visit")
+		for _, tr := range res.Threads {
+			t.AddRow(tr.Name,
+				fmt.Sprintf("%d", tr.Counters.Instrs),
+				fmt.Sprintf("%d", tr.Counters.Cycles),
+				fmt.Sprintf("%d", tr.Counters.Misses),
+				fmt.Sprintf("%.3f", tr.IPC),
+				fmt.Sprintf("%.0f", tr.IPM),
+				fmt.Sprintf("%.3f", tr.EstIPCST),
+				fmt.Sprintf("%d", tr.Visits),
+				fmt.Sprintf("%.0f", tr.AvgVisit))
+		}
+		t.WriteTo(os.Stdout)
+		sw := res.Switches
+		fmt.Printf("switches: miss=%d quota=%d maxq=%d pause=%d (forced/1k cycles: %.2f)\n",
+			sw.Miss, sw.Quota, sw.MaxQuota, sw.Pause, res.ForcedPer1k())
+		if *samples {
+			dumpSamples(os.Stdout, res)
+		}
+
+		if withRef {
+			ipcST, sp, err := experiments.RefSpeedups(s.Ctx, s.Cache, spec, res)
+			if err != nil {
+				return err
+			}
+			fmt.Println()
+			for i, ts := range specs {
+				fmt.Printf("%-10s IPC_ST=%.3f speedup=%.3f\n", ts.Profile.Name, ipcST[i], sp[i])
+			}
+			fmt.Printf("fairness (Eq. 4): %.3f   weighted speedup: %.3f   harmonic: %.3f\n",
+				core.FairnessMetric(sp), core.WeightedSpeedup(sp), core.HarmonicFairness(sp))
+		}
+		return nil
+	})
 }
 
 func buildThreads(threadsArg, traceArg string) ([]sim.ThreadSpec, error) {
@@ -407,9 +335,4 @@ func writeTraces(tracer *obs.Tracer, specs []sim.ThreadSpec, jsonPath, csvPath s
 		}
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "soesim:", err)
-	os.Exit(1)
 }

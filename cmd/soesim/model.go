@@ -1,12 +1,12 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
 
+	"soemt/internal/cli"
 	"soemt/internal/experiments"
 	"soemt/internal/model"
 	"soemt/internal/sim"
@@ -31,10 +31,7 @@ func runModel(threadsArg string, f, timeshare float64, calPath string, jsonOut b
 	if threadsArg == "" {
 		return fmt.Errorf("-model needs -threads (profile names; traces carry no fitted parameters)")
 	}
-	names := strings.Split(threadsArg, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
+	names := experiments.SplitMix(threadsArg)
 	cal, err := loadOrProfileCalibration(calPath)
 	if err != nil {
 		return err
@@ -105,30 +102,22 @@ func runModel(threadsArg string, f, timeshare float64, calPath string, jsonOut b
 // runCalibrate fits a calibration table against the cycle-accurate
 // engine (-calibrate out.json): single-thread references invert Eq. 1
 // per profile, Switch_lat is grid-searched, and the residual error bars
-// are measured by replaying the chosen pairs. With -threads a,b only
-// that pair is replayed; without it the full 16-pair matrix runs.
-func runCalibrate(out, threadsArg, scaleArg string) error {
-	scale, err := sim.ScaleByName(scaleArg)
+// are measured by replaying the chosen pairs. With -threads a:b (or
+// a,b) only that pair is replayed; without it the full 16-pair matrix
+// runs.
+func runCalibrate(s *cli.Session, out, threadsArg string) error {
+	pairs, err := calibrationPairs(threadsArg)
 	if err != nil {
 		return err
 	}
-	var pairs []experiments.Pair
-	if threadsArg != "" {
-		names := strings.Split(threadsArg, ",")
-		if len(names) != 2 {
-			return fmt.Errorf("-calibrate with -threads needs exactly two profiles, got %d", len(names))
-		}
-		pairs = []experiments.Pair{{A: strings.TrimSpace(names[0]), B: strings.TrimSpace(names[1])}}
-	}
-	r := experiments.NewRunner(experiments.Options{
+	r := experiments.NewRunnerWith(experiments.Options{
 		Machine:    sim.DefaultMachine(),
-		Scale:      scale,
+		Scale:      s.Scale,
 		SameOffset: 100_000,
-	})
-	r.Progress = func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "soesim: "+format+"\n", args...)
-	}
-	cal, err := experiments.Calibrate(context.Background(), r, pairs)
+		Watchdog:   s.Watchdog,
+	}, s.Cache)
+	r.Progress = s.Cache.Logf
+	cal, err := experiments.Calibrate(s.Ctx, r, pairs)
 	if err != nil {
 		return err
 	}
@@ -139,6 +128,19 @@ func runCalibrate(out, threadsArg, scaleArg string) error {
 		"soesim: wrote %s (%d threads, %d residual points, SwitchLat=%.0f, bars ±%.1f%% IPC / ±%.2f fairness)\n",
 		out, len(cal.Threads), len(cal.Pairs), cal.SwitchLat, cal.ErrIPCPc, cal.ErrFairness)
 	return nil
+}
+
+// calibrationPairs is the replay pair named by -threads (a:b or a,b),
+// or nil for the full matrix when -threads is empty.
+func calibrationPairs(threadsArg string) ([]experiments.Pair, error) {
+	if threadsArg == "" {
+		return nil, nil
+	}
+	names := experiments.SplitMix(threadsArg)
+	if len(names) != 2 {
+		return nil, fmt.Errorf("-calibrate with -threads needs exactly two profiles, got %d", len(names))
+	}
+	return []experiments.Pair{{A: names[0], B: names[1]}}, nil
 }
 
 func fmtFloats(vs []float64) string {

@@ -19,11 +19,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -37,214 +35,100 @@ import (
 
 func main() {
 	var (
-		sweep    = flag.String("sweep", "F", "parameter to sweep: F, misslat, drain, delta, threads")
-		pair     = flag.String("pair", "gcc:eon", "two workloads a:b for pair sweeps")
-		bench    = flag.String("bench", "swim", "workload for -sweep threads")
-		threads  = flag.String("threads", "", "colon-separated mix for -sweep threads (prefix sweep N=2..len under -policy; overrides -bench)")
-		policy   = flag.String("policy", "", "switch policy by name: "+strings.Join(core.PolicyNames(), ", ")+" (overrides -F selection)")
-		points   = flag.Int("points", 9, "number of F points for -sweep F")
-		values   = flag.String("values", "", "comma-separated values for misslat/drain/delta sweeps")
-		maxThr   = flag.Int("max", 4, "maximum thread count for -sweep threads")
-		fArg     = flag.Float64("F", 0.5, "fairness target for non-F sweeps (0 = event-only)")
-		scale    = flag.String("scale", "tiny", "tiny, quick or paper")
-		csv      = flag.Bool("csv", false, "emit CSV instead of a table")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (content-addressed; see DESIGN.md)")
-		metrics  = flag.Bool("metrics", false, "print run/cache metrics to stderr on exit")
-		timeout  = flag.Duration("timeout", 0, "wall-clock budget per simulation, e.g. 90s (0 = unlimited); an exceeded run fails with a deadline error")
-		beat     = flag.Duration("heartbeat", 0, "print a metrics heartbeat line to stderr at this interval during long runs, e.g. 30s (0 = off)")
+		sweep   = flag.String("sweep", "F", "parameter to sweep: F, misslat, drain, delta, threads")
+		pair    = flag.String("pair", "gcc:eon", "two workloads a:b for pair sweeps")
+		bench   = flag.String("bench", "swim", "workload for -sweep threads")
+		threads = flag.String("threads", "", "colon-separated mix for -sweep threads (prefix sweep N=2..len under -policy; overrides -bench)")
+		policy  = flag.String("policy", "", "switch policy by name: "+strings.Join(core.PolicyNames(), ", ")+" (overrides -F selection)")
+		points  = flag.Int("points", 9, "number of F points for -sweep F")
+		values  = flag.String("values", "", "comma-separated values for misslat/drain/delta sweeps")
+		maxThr  = flag.Int("max", 4, "maximum thread count for -sweep threads")
+		fArg    = flag.Float64("F", 0.5, "fairness target for non-F sweeps (0 = event-only)")
+		csv     = flag.Bool("csv", false, "emit CSV instead of a table")
+		rf      = cli.Register(flag.CommandLine, "tiny", cli.CacheDir|cli.Metrics|cli.Timeout|cli.Heartbeat)
 	)
 	flag.Parse()
-
-	sc, err := sim.ScaleByName(*scale)
-	if err != nil {
-		fatal(err)
-	}
-	cache, err := experiments.NewCache(*cacheDir)
-	if err != nil {
-		fatal(err)
-	}
-	cache.Logf = func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "soesweep: "+format+"\n", args...)
-	}
 
 	// SIGINT/SIGTERM cancel the sweep between execution slices; the
 	// rows completed so far are still flushed (marked incomplete), and
 	// with -cache-dir a rerun resumes from the finished points.
-	ctx, stop := cli.SignalContext()
-	defer stop()
-	stopBeat := cli.StartHeartbeat(ctx, "soesweep", *beat, func() string {
-		return cache.Metrics().String()
-	})
-	defer stopBeat()
-	cli.NoteResume("soesweep", cache)
-	wd := sim.Watchdog{Timeout: *timeout}
-
-	var tbl *stats.Table
-	switch *sweep {
-	case "F":
-		tbl, err = sweepF(ctx, cache, wd, *pair, *points, sc)
-	case "misslat":
-		tbl, err = sweepScalar(ctx, cache, wd, *pair, "misslat", parseValues(*values, "100,200,300,600"), *fArg, sc)
-	case "drain":
-		tbl, err = sweepScalar(ctx, cache, wd, *pair, "drain", parseValues(*values, "2,6,12,24,48"), *fArg, sc)
-	case "delta":
-		tbl, err = sweepScalar(ctx, cache, wd, *pair, "delta", parseValues(*values, "50000,250000,1000000"), *fArg, sc)
-	case "threads":
-		if *threads != "" {
-			tbl, err = sweepMix(ctx, cache, wd, *threads, *policy, *fArg, sc)
-		} else {
-			tbl, err = sweepThreads(ctx, cache, wd, *bench, *maxThr, *fArg, sc)
+	rf.Run("soesweep", func(s *cli.Session) error {
+		scalar := func(param, def string) (*stats.Table, error) {
+			if *values != "" {
+				def = *values
+			}
+			vals, err := cli.ParseFloats(def)
+			if err != nil {
+				return nil, err
+			}
+			return sweepScalar(s, *pair, param, vals, *fArg)
 		}
-	default:
-		err = fmt.Errorf("unknown sweep %q", *sweep)
-	}
-	// Both exit paths funnel through flush, which emits the table at
-	// most once: a SIGINT landing while the final flush is underway must
-	// neither print a second copy of the table nor be swallowed into a
-	// clean exit 0 (see TestInterruptDuringFinalFlush).
-	flushed := false
-	flush := func() {
-		if tbl == nil || flushed {
-			return
+		var tbl *stats.Table
+		var err error
+		switch *sweep {
+		case "F":
+			tbl, err = sweepF(s, *pair, *points)
+		case "misslat":
+			tbl, err = scalar("misslat", "100,200,300,600")
+		case "drain":
+			tbl, err = scalar("drain", "2,6,12,24,48")
+		case "delta":
+			tbl, err = scalar("delta", "50000,250000,1000000")
+		case "threads":
+			if *threads != "" {
+				tbl, err = sweepMix(s, *threads, *policy, *fArg)
+			} else {
+				tbl, err = sweepThreads(s, *bench, *maxThr, *fArg)
+			}
+		default:
+			err = fmt.Errorf("unknown sweep %q", *sweep)
 		}
-		flushed = true
-		if d, _ := time.ParseDuration(os.Getenv("SOESWEEP_TEST_FLUSH_DELAY")); d > 0 {
-			// Test hook: announce the flush window and hold it open so the
-			// acceptance test can land a signal inside it deterministically.
-			fmt.Fprintln(os.Stderr, "soesweep: flushing")
-			time.Sleep(d)
+		if err != nil && !cli.Interrupted(s.Ctx, err) {
+			return err
 		}
-		if *csv {
-			fmt.Print(tbl.CSV())
-		} else {
-			tbl.WriteTo(os.Stdout)
+		// The table is flushed once, complete or (interrupted) partial.
+		// A signal landing during the final flush still ends the run
+		// with exit 130 (see TestInterruptDuringFinalFlush).
+		if tbl != nil {
+			if d, _ := time.ParseDuration(os.Getenv("SOESWEEP_TEST_FLUSH_DELAY")); d > 0 {
+				// Test hook: announce the flush window and hold it open so the
+				// acceptance test can land a signal inside it deterministically.
+				fmt.Fprintln(os.Stderr, "soesweep: flushing")
+				time.Sleep(d)
+			}
+			if *csv {
+				fmt.Print(tbl.CSV())
+			} else {
+				tbl.WriteTo(os.Stdout)
+			}
 		}
-	}
-	if err != nil {
-		if cli.Interrupted(ctx, err) {
-			flush()
+		if err != nil {
+			s.Hint = "partial sweep flushed — rerun with the same -cache-dir to resume"
 			if *csv {
 				fmt.Println("# interrupted: sweep incomplete")
-			} else {
-				fmt.Fprintln(os.Stderr, "soesweep: interrupted; partial sweep flushed — rerun with the same -cache-dir to resume")
+				s.Hint = ""
 			}
-			cli.MarkInterrupted("soesweep", cache, "interrupted by signal")
-			os.Exit(cli.ExitInterrupted)
 		}
-		fatal(err)
-	}
-	flush()
-	cli.ClearInterrupted("soesweep", cache)
-	if ctx.Err() != nil {
-		// The signal landed after the last point finished — during or
-		// just before the final flush. The sweep itself is complete and
-		// was flushed exactly once above, so the marker is cleared, but
-		// the process still reports the interruption instead of exiting
-		// 0 as if nothing happened.
-		fmt.Fprintln(os.Stderr, "soesweep: interrupted during final flush; sweep output is complete")
-		os.Exit(cli.ExitInterrupted)
-	}
-	if *metrics {
-		fmt.Fprintf(os.Stderr, "soesweep: metrics: %s\n", cache.Metrics())
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "soesweep:", err)
-	os.Exit(1)
-}
-
-func parseValues(s, def string) []float64 {
-	if s == "" {
-		s = def
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad value %q: %w", part, err))
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func splitPair(pair string) (workload.Profile, workload.Profile, error) {
-	parts := strings.SplitN(pair, ":", 2)
-	if len(parts) != 2 {
-		return workload.Profile{}, workload.Profile{}, fmt.Errorf("pair must be a:b, got %q", pair)
-	}
-	a, ok := workload.ByName(parts[0])
-	if !ok {
-		return workload.Profile{}, workload.Profile{}, fmt.Errorf("unknown profile %q", parts[0])
-	}
-	b, ok := workload.ByName(parts[1])
-	if !ok {
-		return workload.Profile{}, workload.Profile{}, fmt.Errorf("unknown profile %q", parts[1])
-	}
-	return a, b, nil
-}
-
-// runPair runs a:b on machine m through the result cache and returns
-// results plus per-thread speedups against single-thread references
-// (cached across sweep points — the references do not depend on the
-// swept parameter unless the machine itself changes).
-func runPair(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, m sim.MachineConfig, a, b workload.Profile, sc sim.Scale, sib *sim.Siblings) (*sim.Result, []float64, error) {
-	var st []float64
-	for i, p := range []workload.Profile{a, b} {
-		refMachine := sim.DefaultMachine()
-		refMachine.Controller.Policy = core.EventOnly{}
-		ref, err := c.RunSpecContext(ctx, sim.Spec{
-			Machine:  refMachine,
-			Threads:  []sim.ThreadSpec{{Profile: p, Slot: i}},
-			Scale:    sc,
-			Watchdog: wd,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		st = append(st, ref.Threads[0].IPC)
-	}
-	res, err := c.RunSpecContext(ctx, sim.Spec{
-		Machine: m,
-		Threads: []sim.ThreadSpec{
-			{Profile: a, Slot: 0},
-			{Profile: b, Slot: 1, StartSeq: sameOffset(a, b)},
-		},
-		Scale:    sc,
-		Watchdog: wd,
-		Siblings: sib,
+		return err
 	})
+}
+
+// pairSpec is the a:b pair on machine m, placed as soesim places the
+// same mix (a same-benchmark pair's second copy starts
+// experiments.MixOffset instructions in).
+func pairSpec(s *cli.Session, pair string, m sim.MachineConfig) (sim.Spec, error) {
+	p, err := experiments.ParsePair(pair)
 	if err != nil {
-		return nil, nil, err
+		return sim.Spec{}, err
 	}
-	if res.Truncated {
-		fmt.Fprintf(os.Stderr, "soesweep: WARNING: %s:%s truncated at MaxCycles=%d; values are approximate\n",
-			a.Name, b.Name, sc.MaxCycles)
-	}
-	sp := core.Speedups([]float64{res.Threads[0].IPC, res.Threads[1].IPC}, st)
-	return res, sp, nil
-}
-
-func sameOffset(a, b workload.Profile) uint64 {
-	if a.Name == b.Name {
-		return 100_000
-	}
-	return 0
-}
-
-func policyFor(f float64) core.Policy {
-	if f <= 0 {
-		return core.EventOnly{}
-	}
-	return core.Fairness{F: f}
+	return sim.Spec{Machine: m, Threads: p.Threads(experiments.MixOffset), Scale: s.Scale, Watchdog: s.Watchdog}, nil
 }
 
 // buildPolicy resolves -policy (zoo names, PolicyByName defaults) or
 // falls back to the seed -F selection.
 func buildPolicy(name string, f float64) (core.Policy, error) {
 	if name == "" {
-		return policyFor(f), nil
+		return experiments.PolicyFor(f), nil
 	}
 	return core.PolicyByName(name, core.PolicyParams{F: f})
 }
@@ -253,7 +137,7 @@ func buildPolicy(name string, f float64) (core.Policy, error) {
 // under one policy, reporting the min-over-pairs fairness metric at
 // each N — the N-thread sweep the hypotheses harness documents
 // (hypotheses/FINDINGS_grouped-fairness.md).
-func sweepMix(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, mix, policyName string, f float64, sc sim.Scale) (*stats.Table, error) {
+func sweepMix(s *cli.Session, mix, policyName string, f float64) (*stats.Table, error) {
 	specs, err := experiments.ParseMix(mix)
 	if err != nil {
 		return nil, err
@@ -269,7 +153,8 @@ func sweepMix(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, mix, p
 	for n := 2; n <= len(specs); n++ {
 		m := sim.DefaultMachine()
 		m.Controller.Policy = pol
-		res, sp, err := experiments.RunMix(ctx, c, wd, m, specs[:n], sc)
+		res, sp, err := experiments.RunMix(s.Ctx, s.Cache,
+			sim.Spec{Machine: m, Threads: specs[:n], Scale: s.Scale, Watchdog: s.Watchdog})
 		if err != nil {
 			return tbl, err
 		}
@@ -292,8 +177,8 @@ func sweepMix(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, mix, p
 
 // The sweep functions return the partially built table alongside any
 // error, so an interrupted sweep can still flush its completed rows.
-func sweepF(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, pair string, points int, sc sim.Scale) (*stats.Table, error) {
-	a, b, err := splitPair(pair)
+func sweepF(s *cli.Session, pair string, points int) (*stats.Table, error) {
+	spec, err := pairSpec(s, pair, sim.DefaultMachine())
 	if err != nil {
 		return nil, err
 	}
@@ -303,12 +188,11 @@ func sweepF(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, pair str
 	tbl := stats.NewTable("F", "IPC", "fairness", "speedupA", "speedupB", "forced/1k")
 	// The points differ only in their policy: one sibling scope lets
 	// them share the warmed machine and, where quotas agree, results.
-	sib := new(sim.Siblings)
+	spec.Siblings = new(sim.Siblings)
 	for i := 0; i < points; i++ {
 		f := float64(i) / float64(points-1)
-		m := sim.DefaultMachine()
-		m.Controller.Policy = policyFor(f)
-		res, sp, err := runPair(ctx, c, wd, m, a, b, sc, sib)
+		spec.Machine.Controller.Policy = experiments.PolicyFor(f)
+		res, sp, err := experiments.RunMix(s.Ctx, s.Cache, spec)
 		if err != nil {
 			return tbl, err
 		}
@@ -321,15 +205,15 @@ func sweepF(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, pair str
 	return tbl, nil
 }
 
-func sweepScalar(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, pair, param string, values []float64, f float64, sc sim.Scale) (*stats.Table, error) {
-	a, b, err := splitPair(pair)
-	if err != nil {
-		return nil, err
-	}
+// sweepScalar sweeps one machine parameter of the pair. Each point's
+// references run on that point's memory system (experiments.RefSpeedups),
+// so a miss-latency point divides by single-thread IPC at its own
+// latency.
+func sweepScalar(s *cli.Session, pair, param string, values []float64, f float64) (*stats.Table, error) {
 	tbl := stats.NewTable(param, "IPC", "fairness", "switches/1k", "forced/1k")
 	for _, v := range values {
 		m := sim.DefaultMachine()
-		m.Controller.Policy = policyFor(f)
+		m.Controller.Policy = experiments.PolicyFor(f)
 		switch param {
 		case "misslat":
 			m.Memory.MemLatency = int(v)
@@ -344,7 +228,11 @@ func sweepScalar(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, pai
 		default:
 			return nil, fmt.Errorf("unknown scalar parameter %q", param)
 		}
-		res, sp, err := runPair(ctx, c, wd, m, a, b, sc, nil)
+		spec, err := pairSpec(s, pair, m)
+		if err != nil {
+			return nil, err
+		}
+		res, sp, err := experiments.RunMix(s.Ctx, s.Cache, spec)
 		if err != nil {
 			return tbl, err
 		}
@@ -360,7 +248,7 @@ func sweepScalar(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, pai
 // sweepThreads scales the number of copies of one workload from 1 to
 // max (Eickemeyer et al.: SOE throughput saturates around three
 // threads).
-func sweepThreads(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, bench string, max int, f float64, sc sim.Scale) (*stats.Table, error) {
+func sweepThreads(s *cli.Session, bench string, max int, f float64) (*stats.Table, error) {
 	prof, ok := workload.ByName(bench)
 	if !ok {
 		return nil, fmt.Errorf("unknown profile %q", bench)
@@ -372,14 +260,14 @@ func sweepThreads(ctx context.Context, c *experiments.Cache, wd sim.Watchdog, be
 	var base float64
 	for n := 1; n <= max; n++ {
 		m := sim.DefaultMachine()
-		m.Controller.Policy = policyFor(f)
+		m.Controller.Policy = experiments.PolicyFor(f)
 		var threads []sim.ThreadSpec
 		for i := 0; i < n; i++ {
 			p := prof
 			p.Seed += uint64(i) * 7919
 			threads = append(threads, sim.ThreadSpec{Profile: p, Slot: i})
 		}
-		res, err := c.RunSpecContext(ctx, sim.Spec{Machine: m, Threads: threads, Scale: sc, Watchdog: wd})
+		res, err := s.Cache.RunSpecContext(s.Ctx, sim.Spec{Machine: m, Threads: threads, Scale: s.Scale, Watchdog: s.Watchdog})
 		if err != nil {
 			return tbl, err
 		}

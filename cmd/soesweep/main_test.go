@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +13,10 @@ import (
 	"time"
 
 	"soemt/internal/cli"
+	"soemt/internal/core"
 	"soemt/internal/experiments"
+	"soemt/internal/sim"
+	"soemt/internal/workload"
 )
 
 // TestMain lets the test binary stand in for the soesweep executable:
@@ -129,5 +133,89 @@ func TestFinalFlushCleanExit(t *testing.T) {
 	}
 	if n := strings.Count(stdout.String(), "fairness"); n != 1 {
 		t.Fatalf("table header appeared %d times, want exactly 1:\n%s", n, stdout.String())
+	}
+}
+
+// sweepCSV runs main with args plus -csv in a subprocess and returns
+// the CSV row whose first cell is key.
+func sweepCSV(t *testing.T, key string, args ...string) []string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append(append([]string{"--"}, args...), "-csv")...)
+	cmd.Env = append(os.Environ(), "SOESWEEP_TEST_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("soesweep %s: %v\nstderr:\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if cells := strings.Split(line, ","); cells[0] == key {
+			return cells
+		}
+	}
+	t.Fatalf("no row %q in:\n%s", key, out)
+	return nil
+}
+
+// wantFairness runs threads on m and each thread alone, event-only, at
+// its slot and StartSeq on m's memory system, and formats the Eq. 4
+// fairness of the resulting speedups as the sweep tables print it.
+func wantFairness(t *testing.T, m sim.MachineConfig, threads []sim.ThreadSpec) string {
+	t.Helper()
+	run := func(m sim.MachineConfig, ts ...sim.ThreadSpec) *sim.Result {
+		res, err := sim.RunContext(context.Background(), sim.Spec{Machine: m, Threads: ts, Scale: sim.TinyScale()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(m, threads...)
+	ref := sim.DefaultMachine()
+	ref.Memory = m.Memory
+	var ipc, st []float64
+	for i, ts := range threads {
+		ipc = append(ipc, res.Threads[i].IPC)
+		st = append(st, run(ref, ts).Threads[0].IPC)
+	}
+	return fmt.Sprintf("%.3f", core.FairnessMetric(core.Speedups(ipc, st)))
+}
+
+// A miss-latency point divides by single-thread IPC measured at that
+// latency, not at the default 300 cycles.
+func TestMisslatReferencesAtSweptLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	row := sweepCSV(t, "600", "-sweep", "misslat", "-values", "600", "-pair", "gcc:eon", "-F", "0.5", "-scale", "tiny")
+	m := sim.DefaultMachine()
+	m.Memory.MemLatency = 600
+	m.Controller.MissLat = 600
+	m.Controller.Policy = core.Fairness{F: 0.5}
+	threads := []sim.ThreadSpec{
+		{Profile: workload.MustByName("gcc"), Slot: 0},
+		{Profile: workload.MustByName("eon"), Slot: 1},
+	}
+	if want := wantFairness(t, m, threads); row[2] != want {
+		t.Fatalf("misslat 600 fairness = %s, want %s", row[2], want)
+	}
+}
+
+// A same-benchmark pair's second copy is measured against a reference
+// at its own slot and start offset, as soesim -ref measures the same
+// mix (see soesim's TestRefSameBenchmarkMix), so both report one
+// fairness.
+func TestSameBenchmarkPairReferences(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	row := sweepCSV(t, "1.000", "-sweep", "F", "-pair", "gcc:gcc", "-points", "2", "-scale", "tiny")
+	threads, err := experiments.ParseMix("gcc:gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.DefaultMachine()
+	m.Controller.Policy = core.Fairness{F: 1}
+	if want := wantFairness(t, m, threads); row[2] != want {
+		t.Fatalf("gcc:gcc F=1 fairness = %s, want %s", row[2], want)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 
+	"soemt/internal/cli"
 	"soemt/internal/rng"
 	"soemt/internal/sim"
 	"soemt/internal/stats"
@@ -55,25 +56,20 @@ func main() {
 		}
 	case *characterize:
 		if err := runCharacterize(*benchName, *measure); err != nil {
-			fatal(err)
+			cli.Fatal("soetrace", err)
 		}
 	case *gen != "":
 		if err := runGen(*gen, *out, *start, uint32(*slot), *events); err != nil {
-			fatal(err)
+			cli.Fatal("soetrace", err)
 		}
 	case *show != "":
 		if err := runShow(*show); err != nil {
-			fatal(err)
+			cli.Fatal("soetrace", err)
 		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "soetrace:", err)
-	os.Exit(1)
 }
 
 func runCharacterize(only string, measure uint64) error {

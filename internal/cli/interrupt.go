@@ -1,7 +1,8 @@
 // Package cli carries plumbing shared by the soemt command-line
-// tools: signal-driven cancellation, the conventional interrupt exit
-// code, and the interrupt-marker etiquette for persistent result
-// caches (mark on interruption, note on resume, clear on completion).
+// tools: the shared run flags and the run session (run.go),
+// signal-driven cancellation, the conventional interrupt exit code,
+// and the interrupt-marker etiquette for persistent result caches
+// (mark on interruption, note on resume, clear on completion).
 package cli
 
 import (

@@ -175,12 +175,6 @@ func (c *Cache) warnDegraded() {
 	}
 }
 
-// RunSpec executes spec through the cache without external
-// cancellation; see RunSpecContext.
-func (c *Cache) RunSpec(spec sim.Spec) (*sim.Result, error) {
-	return c.RunSpecContext(context.Background(), spec)
-}
-
 // RunSpecContext executes spec through the cache: fingerprint, layered
 // lookup, singleflight simulation on miss, store. The simulation runs
 // under ctx (cancellation, plus the spec's own watchdog). Returned
@@ -197,28 +191,8 @@ func (c *Cache) RunSpecContext(ctx context.Context, spec sim.Spec) (*sim.Result,
 	if err != nil {
 		return nil, err
 	}
-	// Fresh simulations publish their engine metrics (pipe.*, core.*,
-	// sim.*) into the cache's registry unless the caller attached its
-	// own observer. Fingerprints exclude Obs, so this never forks cache
-	// keys.
-	if spec.Obs == nil {
-		spec.Obs = &obs.Observer{Metrics: c.m.reg}
-	}
 	res, _, err := c.DoContext(ctx, key, func() (*sim.Result, error) {
-		c.m.runsStarted.Add(1)
-		start := time.Now()
-		r, err := c.run(ctx, spec)
-		if err != nil {
-			c.m.runsFailed.Add(1)
-			return nil, err
-		}
-		c.m.runsCompleted.Add(1)
-		c.m.simWallNanos.Add(uint64(time.Since(start)))
-		c.m.simCycles.Add(r.WallCycles)
-		if r.Truncated {
-			c.m.truncated.Add(1)
-		}
-		return r, nil
+		return c.RunSpecFresh(ctx, spec)
 	})
 	return res, err
 }
@@ -232,6 +206,10 @@ func (c *Cache) RunSpecContext(ctx context.Context, spec sim.Spec) (*sim.Result,
 // Run-lifecycle metrics (runs_started/completed/failed, sim cycles
 // and wall time) are still counted.
 func (c *Cache) RunSpecFresh(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
+	// Fresh simulations publish their engine metrics (pipe.*, core.*,
+	// sim.*) into the cache's registry unless the caller attached its
+	// own observer. Fingerprints exclude Obs, so this never forks cache
+	// keys.
 	if spec.Obs == nil {
 		spec.Obs = &obs.Observer{Metrics: c.m.reg}
 	}
@@ -251,15 +229,6 @@ func (c *Cache) RunSpecFresh(ctx context.Context, spec sim.Spec) (*sim.Result, e
 	return r, nil
 }
 
-// Do returns the cached result for key, or runs fn exactly once across
-// all concurrent callers to produce it. The boolean reports whether
-// the result was served without invoking fn in this call (memory,
-// disk, or a concurrent caller's run). Errors are not cached: a later
-// call retries.
-func (c *Cache) Do(key string, fn func() (*sim.Result, error)) (*sim.Result, bool, error) {
-	return c.DoContext(context.Background(), key, fn)
-}
-
 // cancellation reports whether err is (or wraps) a context
 // cancellation or deadline expiry — the leader's ctx dying, not a
 // property of the simulation itself. Watchdog aborts (StallError,
@@ -270,7 +239,11 @@ func cancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// DoContext is Do honoring the caller's ctx while waiting on another
+// DoContext returns the cached result for key, or runs fn exactly once
+// across all concurrent callers to produce it. The boolean reports
+// whether the result was served without invoking fn in this call
+// (memory, disk, or a concurrent caller's run). Errors are not cached:
+// a later call retries. ctx is honored while waiting on another
 // caller's in-flight run.
 //
 // Singleflight followers join the leader's cell, but the leader runs
@@ -334,7 +307,7 @@ func (c *Cache) DoContext(ctx context.Context, key string, fn func() (*sim.Resul
 	}
 	// A panic inside fn must not leave concurrent waiters blocked on
 	// f.done forever: resolve the cell with an error, then re-panic so
-	// the caller's own recovery (e.g. RunAll's worker) still fires.
+	// the caller's own recovery (e.g. RunAllContext's worker) still fires.
 	defer func() {
 		if rec := recover(); rec != nil {
 			if !finished {

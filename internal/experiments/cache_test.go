@@ -92,7 +92,7 @@ func TestCacheRoundTripDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := c1.RunSpec(spec)
+	res1, err := c1.RunSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCacheRoundTripDeterminism(t *testing.T) {
 		t.Fatal("warm cache must not simulate")
 		return nil, nil
 	}
-	res2, err := c2.RunSpec(spec)
+	res2, err := c2.RunSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCacheRoundTripDeterminism(t *testing.T) {
 	}
 
 	// Third read hits the memory layer.
-	if _, err := c2.RunSpec(spec); err != nil {
+	if _, err := c2.RunSpecContext(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if m = c2.Metrics(); m.MemHits != 1 {
@@ -186,7 +186,7 @@ func TestCacheSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.RunSpec(spec)
+			res, err := c.RunSpecContext(context.Background(), spec)
 			if err != nil {
 				t.Error(err)
 			}
@@ -237,7 +237,7 @@ func TestRunAllStopsOnFirstError(t *testing.T) {
 		return nil, boom
 	})
 	r.Workers = 1
-	_, err := r.RunAll()
+	_, err := r.RunAllContext(context.Background())
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunAll error = %v, want injected failure", err)
 	}
@@ -253,7 +253,7 @@ func TestRunAllPropagatesWorkerPanic(t *testing.T) {
 		panic("boom")
 	})
 	r.Workers = 2
-	_, err := r.RunAll()
+	_, err := r.RunAllContext(context.Background())
 	if err == nil {
 		t.Fatal("RunAll must surface the worker panic")
 	}
@@ -262,7 +262,7 @@ func TestRunAllPropagatesWorkerPanic(t *testing.T) {
 	}
 }
 
-// PairRuns assembled by hand (e.g. via RunPairAt) may lack F levels;
+// PairRuns assembled by hand may lack F levels;
 // the derived metrics must return 0 instead of panicking.
 func TestPairRunMissingFLevelGuards(t *testing.T) {
 	pr := &PairRun{
@@ -310,7 +310,7 @@ func TestRunnerPersistentCacheMetrics(t *testing.T) {
 	}
 
 	r1 := newStub()
-	pr1, err := r1.RunPair(Pair{"gcc", "eon"})
+	pr1, err := r1.RunPairContext(context.Background(), Pair{"gcc", "eon"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestRunnerPersistentCacheMetrics(t *testing.T) {
 	}
 
 	r2 := newStub()
-	pr2, err := r2.RunPair(Pair{"gcc", "eon"})
+	pr2, err := r2.RunPairContext(context.Background(), Pair{"gcc", "eon"})
 	if err != nil {
 		t.Fatal(err)
 	}

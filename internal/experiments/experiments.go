@@ -99,13 +99,8 @@ func ExpFig3(w io.Writer) error {
 	return err
 }
 
-// ExpExample1 demonstrates the starvation problem (paper Example 1 /
-// Figure 1) on the gcc:eon pair; see ExpExample1Context.
-func ExpExample1(w io.Writer, r *Runner) error {
-	return ExpExample1Context(context.Background(), w, r)
-}
-
-// ExpExample1Context is ExpExample1 honoring ctx cancellation.
+// ExpExample1Context demonstrates the starvation problem (paper
+// Example 1 / Figure 1) on the gcc:eon pair.
 func ExpExample1Context(ctx context.Context, w io.Writer, r *Runner) error {
 	pr, err := r.RunPairContext(ctx, Pair{"gcc", "eon"})
 	if err != nil {
@@ -139,15 +134,10 @@ type Fig5Data struct {
 	Fair0     []float64    // achieved per-window fairness, F=0
 }
 
-// ExpFig5 reproduces the paper's detailed examination (Figure 5):
-// counter-based IPC_ST estimation, per-thread speedups with and
+// ExpFig5Context reproduces the paper's detailed examination (Figure
+// 5): counter-based IPC_ST estimation, per-thread speedups with and
 // without enforcement, and achieved fairness over time for gcc:eon at
-// F = 1/4. See ExpFig5Context.
-func ExpFig5(w io.Writer, r *Runner) (*Fig5Data, error) {
-	return ExpFig5Context(context.Background(), w, r)
-}
-
-// ExpFig5Context is ExpFig5 honoring ctx cancellation.
+// F = 1/4.
 func ExpFig5Context(ctx context.Context, w io.Writer, r *Runner) (*Fig5Data, error) {
 	pr, err := r.RunPairContext(ctx, Pair{"gcc", "eon"})
 	if err != nil {
@@ -406,18 +396,13 @@ type TimeShareSummary struct {
 	SimMechanismIPC        float64
 }
 
-// ExpTimeShare reproduces the §6 discussion: simple time sharing is
-// ineffective for producing high fairness with small performance
-// degradation — a small quota buys fairness with frequent pipeline
-// flushes, a large quota keeps throughput but rarely achieves fair
-// execution. The mechanism delivers fairness at high throughput. Both
-// the analytical Example 2 numbers and a simulated quota sweep on
-// gcc:eon are shown. See ExpTimeShareContext.
-func ExpTimeShare(w io.Writer, r *Runner) (*TimeShareSummary, error) {
-	return ExpTimeShareContext(context.Background(), w, r)
-}
-
-// ExpTimeShareContext is ExpTimeShare honoring ctx cancellation.
+// ExpTimeShareContext reproduces the §6 discussion: simple time
+// sharing is ineffective for producing high fairness with small
+// performance degradation — a small quota buys fairness with frequent
+// pipeline flushes, a large quota keeps throughput but rarely achieves
+// fair execution. The mechanism delivers fairness at high throughput.
+// Both the analytical Example 2 numbers and a simulated quota sweep on
+// gcc:eon are shown.
 func ExpTimeShareContext(ctx context.Context, w io.Writer, r *Runner) (*TimeShareSummary, error) {
 	sum := &TimeShareSummary{}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -86,29 +87,29 @@ func TestExpTable3Output(t *testing.T) {
 
 func TestRunnerCachesReferences(t *testing.T) {
 	r := NewRunner(testOptions())
-	a, err := r.STRef("eon")
+	a, err := r.STRefContext(context.Background(), "eon")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.STRef("eon")
+	b, err := r.STRefContext(context.Background(), "eon")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("STRef not cached")
 	}
-	if _, err := r.STRef("not-a-benchmark"); err == nil {
+	if _, err := r.STRefContext(context.Background(), "not-a-benchmark"); err == nil {
 		t.Fatal("unknown profile must error")
 	}
 }
 
 func TestRunPairCachesAndComputes(t *testing.T) {
 	r := NewRunner(testOptions())
-	pr, err := r.RunPair(Pair{"gcc", "eon"})
+	pr, err := r.RunPairContext(context.Background(), Pair{"gcc", "eon"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr2, err := r.RunPair(Pair{"gcc", "eon"})
+	pr2, err := r.RunPairContext(context.Background(), Pair{"gcc", "eon"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestExperimentDriversOnSubset(t *testing.T) {
 	// Build a small matrix: two contrasting pairs.
 	var runs []*PairRun
 	for _, p := range []Pair{{"gcc", "eon"}, {"swim", "swim"}} {
-		pr, err := r.RunPair(p)
+		pr, err := r.RunPairContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestExperimentDriversOnSubset(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := ExpExample1(&b, r); err != nil {
+	if err := ExpExample1Context(context.Background(), &b, r); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "achieved fairness") {
@@ -197,7 +198,7 @@ func TestExperimentDriversOnSubset(t *testing.T) {
 	}
 
 	b.Reset()
-	d5, err := ExpFig5(&b, r)
+	d5, err := ExpFig5Context(context.Background(), &b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestExperimentDriversOnSubset(t *testing.T) {
 	}
 
 	b.Reset()
-	ts, err := ExpTimeShare(&b, r)
+	ts, err := ExpTimeShareContext(context.Background(), &b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestDefaultAndPaperOptions(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	r := NewRunner(testOptions())
-	pr, err := r.RunPair(Pair{"gcc", "eon"})
+	pr, err := r.RunPairContext(context.Background(), Pair{"gcc", "eon"})
 	if err != nil {
 		t.Fatal(err)
 	}

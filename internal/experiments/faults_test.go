@@ -49,7 +49,7 @@ func TestCorruptedEntryDegradesToMissNeverWrongResult(t *testing.T) {
 	spec := testSpec(testOptions())
 	srcDir := t.TempDir()
 	c, key := stubCache(t, srcDir, spec)
-	want, err := c.RunSpec(spec)
+	want, err := c.RunSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTruncatedEntryIsMissAndResimulates(t *testing.T) {
 	spec := testSpec(testOptions())
 	dir := t.TempDir()
 	c, key := stubCache(t, dir, spec)
-	want, err := c.RunSpec(spec)
+	want, err := c.RunSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTruncatedEntryIsMissAndResimulates(t *testing.T) {
 	if _, ok := c2.Get(key); ok {
 		t.Fatal("truncated entry must be a miss")
 	}
-	res, err := c2.RunSpec(spec)
+	res, err := c2.RunSpecContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +151,10 @@ func TestUncreatableCacheDirDegradesToMemoryOnly(t *testing.T) {
 		return fakeResult(1), nil
 	}
 	spec := testSpec(testOptions())
-	if _, err := c.RunSpec(spec); err != nil {
+	if _, err := c.RunSpecContext(context.Background(), spec); err != nil {
 		t.Fatalf("degraded cache must still run: %v", err)
 	}
-	if _, err := c.RunSpec(spec); err != nil {
+	if _, err := c.RunSpecContext(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if n := warnings.Load(); n != 1 {
@@ -189,7 +189,7 @@ func TestWriteFailuresDisableDiskWrites(t *testing.T) {
 	for i := 0; i < maxWriteFails+2; i++ {
 		spec := testSpec(testOptions())
 		spec.Scale.Measure += uint64(i) // distinct fingerprints
-		res, err := c.RunSpec(spec)
+		res, err := c.RunSpecContext(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("run %d: injected write failure leaked into the run: %v", i, err)
 		}
@@ -221,7 +221,7 @@ func TestInjectedWorkerPanicSurfacesAsError(t *testing.T) {
 	})
 	r.Workers = 2
 	r.Faults = faultinject.New(3).Arm("worker.panic", faultinject.Plan{Every: 4})
-	out, err := r.RunAll()
+	out, err := r.RunAllContext(context.Background())
 	if err == nil {
 		t.Fatal("injected worker panic must surface as an error")
 	}
@@ -242,7 +242,7 @@ func TestInjectedWorkerDelaysAreHarmless(t *testing.T) {
 		})
 		r.Workers = 4
 		r.Faults = faults
-		out, err := r.RunAll()
+		out, err := r.RunAllContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestSetCacheDirAfterUseErrors(t *testing.T) {
 	r := stubRunner(t, func(sim.Spec) (*sim.Result, error) {
 		return fakeResult(1), nil
 	})
-	if _, err := r.STRef("gcc"); err != nil {
+	if _, err := r.STRefContext(context.Background(), "gcc"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.SetCacheDir(t.TempDir()); err == nil {

@@ -6,9 +6,7 @@ import (
 	"math"
 	"time"
 
-	"soemt/internal/core"
 	"soemt/internal/model"
-	"soemt/internal/sim"
 	"soemt/internal/trace"
 	"soemt/internal/workload"
 	"soemt/internal/workload/spec"
@@ -141,14 +139,7 @@ func (tf *TraceFit) Spec(name string, rate float64, duration time.Duration) *spe
 // measureProfile runs prof single-threaded through the cache and
 // extracts its marginals by inverting Eq. 1 on the counters.
 func measureProfile(ctx context.Context, r *Runner, prof workload.Profile) (Marginals, error) {
-	machine := r.Opts.Machine
-	machine.Controller.Policy = core.EventOnly{}
-	res, err := r.cache.RunSpecContext(ctx, sim.Spec{
-		Machine:  machine,
-		Threads:  []sim.ThreadSpec{{Profile: prof, Slot: 0}},
-		Scale:    r.Opts.Scale,
-		Watchdog: r.Opts.Watchdog,
-	})
+	res, err := r.cache.RunSpecContext(ctx, r.stSpec(prof))
 	if err != nil {
 		return Marginals{}, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -164,7 +165,7 @@ func enforcementInvariant(fair0, fair1 float64) []string {
 // and asserts the paper shape.
 func TestGoldenExample1(t *testing.T) {
 	r := NewRunner(testOptions())
-	pr, err := r.RunPair(Pair{"gcc", "eon"})
+	pr, err := r.RunPairContext(context.Background(), Pair{"gcc", "eon"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func (p perturbedPolicy) Quotas(samples []core.ThreadSample, missLat float64) []
 // golden suite has lost its power to detect a broken quota formula.
 func TestGoldenDetectsQuotaPerturbation(t *testing.T) {
 	r := NewRunner(testOptions())
-	pr, err := r.RunPair(Pair{"gcc", "eon"})
+	pr, err := r.RunPairContext(context.Background(), Pair{"gcc", "eon"})
 	if err != nil {
 		t.Fatal(err)
 	}

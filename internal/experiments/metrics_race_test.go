@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestMetricsReadableWhileMatrixRuns(t *testing.T) {
 		}()
 	}
 
-	if _, err := r.RunAll(); err != nil {
+	if _, err := r.RunAllContext(context.Background()); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	close(done)

@@ -12,7 +12,13 @@
 //	§6 time sharing      — quota-based time sharing vs the mechanism
 package experiments
 
-import "soemt/internal/workload"
+import (
+	"fmt"
+	"strings"
+
+	"soemt/internal/sim"
+	"soemt/internal/workload"
+)
 
 // Pair is one two-thread benchmark combination.
 type Pair struct {
@@ -24,6 +30,33 @@ func (p Pair) Name() string { return p.A + ":" + p.B }
 
 // Same reports whether both threads run the same benchmark.
 func (p Pair) Same() bool { return p.A == p.B }
+
+// ParsePair resolves an "a:b" label into a Pair of built-in profiles.
+func ParsePair(s string) (Pair, error) {
+	a, b, ok := strings.Cut(s, ":")
+	if !ok {
+		return Pair{}, fmt.Errorf("pair must be a:b, got %q", s)
+	}
+	for _, n := range []string{a, b} {
+		if _, ok := workload.ByName(n); !ok {
+			return Pair{}, fmt.Errorf("unknown profile %q", n)
+		}
+	}
+	return Pair{A: a, B: b}, nil
+}
+
+// Threads places the pair: A in slot 0, B in slot 1, and for a
+// same-benchmark pair B starts sameOffset instructions in.
+func (p Pair) Threads(sameOffset uint64) []sim.ThreadSpec {
+	ts := []sim.ThreadSpec{
+		{Profile: workload.MustByName(p.A), Slot: 0},
+		{Profile: workload.MustByName(p.B), Slot: 1},
+	}
+	if p.Same() {
+		ts[1].StartSeq = sameOffset
+	}
+	return ts
+}
 
 // Pairs returns the 16 benchmark combinations used throughout the
 // evaluation — 8 same-benchmark pairs and 8 mixed pairs, mirroring the

@@ -33,7 +33,7 @@ func TestPeerFillServesVerifiedEntryWithoutSimulating(t *testing.T) {
 		return DecodeVerifiedEntry(data, key)
 	})
 
-	res, cached, err := c.Do("peerkey", func() (*sim.Result, error) {
+	res, cached, err := c.DoContext(context.Background(), "peerkey", func() (*sim.Result, error) {
 		runs++
 		return peerStubResult(999), nil
 	})
@@ -59,7 +59,7 @@ func TestPeerFillServesVerifiedEntryWithoutSimulating(t *testing.T) {
 		t.Fatal("peer consulted on a warm key")
 		return nil, nil
 	})
-	if _, cached, err := c.Do("peerkey", nil); err != nil || !cached {
+	if _, cached, err := c.DoContext(context.Background(), "peerkey", nil); err != nil || !cached {
 		t.Fatalf("warm re-read: cached=%v err=%v", cached, err)
 	}
 }
@@ -74,7 +74,7 @@ func TestPeerFillPersistsToDisk(t *testing.T) {
 	c.SetPeerFill(func(ctx context.Context, key string) (*sim.Result, error) {
 		return want, nil
 	})
-	if _, _, err := c.Do("diskkey", nil); err != nil {
+	if _, _, err := c.DoContext(context.Background(), "diskkey", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,7 +111,7 @@ func TestPeerFillMissAndErrorDegradeToLocalRun(t *testing.T) {
 				return nil, tc.peerErr
 			})
 			want := peerStubResult(11)
-			res, cached, err := c.Do("k", func() (*sim.Result, error) { return want, nil })
+			res, cached, err := c.DoContext(context.Background(), "k", func() (*sim.Result, error) { return want, nil })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestPeerFillCorruptEntryDegradesToLocalRun(t *testing.T) {
 		return DecodeVerifiedEntry(data, key)
 	})
 	want := peerStubResult(21)
-	res, cached, err := c.Do("k", func() (*sim.Result, error) { return want, nil })
+	res, cached, err := c.DoContext(context.Background(), "k", func() (*sim.Result, error) { return want, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

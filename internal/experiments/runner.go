@@ -78,8 +78,8 @@ func (pr *PairRun) Fairness(f float64) float64 {
 
 // SOESpeedup returns the pair's SOE throughput gain over single
 // thread: IPC_SOE_total / mean(IPC_ST), the paper's footnote-6 metric.
-// It returns 0 when F was never run (e.g. a PairRun assembled by hand
-// from RunPairAt results) or the references are empty.
+// It returns 0 when F was never run (e.g. a PairRun assembled by hand)
+// or the references are empty.
 func (pr *PairRun) SOESpeedup(f float64) float64 {
 	r := pr.ByF[f]
 	meanST := (pr.ST[0] + pr.ST[1]) / 2
@@ -107,9 +107,9 @@ func (pr *PairRun) NormalizedThroughput(f float64) float64 {
 type Runner struct {
 	Opts Options
 
-	// Workers bounds the number of concurrent simulations in RunAll
-	// (each simulation is single-threaded and deterministic); 0 means
-	// GOMAXPROCS.
+	// Workers bounds the number of concurrent simulations in
+	// RunAllContext (each simulation is single-threaded and
+	// deterministic); 0 means GOMAXPROCS.
 	Workers int
 
 	// Faults, if non-nil, deterministically injects faults into the
@@ -187,8 +187,8 @@ func (r *Runner) Metrics() RunnerMetrics { return r.cache.Metrics() }
 
 // Observability returns the engine's metrics registry: the counters
 // behind Metrics plus per-run engine metrics (pipe.*, core.*, sim.*)
-// published by the simulations, and the RunAll pool gauges. Safe for
-// concurrent use at any time, including mid-run.
+// published by the simulations, and the RunAllContext pool gauges.
+// Safe for concurrent use at any time, including mid-run.
 func (r *Runner) Observability() *obs.Registry { return r.cache.Observability() }
 
 func (r *Runner) logf(format string, args ...interface{}) {
@@ -222,12 +222,6 @@ func (r *Runner) warnTruncated(label string, res *sim.Result) {
 	}
 }
 
-// STRef returns the single-thread reference result for a profile; see
-// STRefContext.
-func (r *Runner) STRef(name string) (*sim.Result, error) {
-	return r.STRefContext(context.Background(), name)
-}
-
 // STRefContext returns the single-thread reference result for a
 // profile, honoring ctx. Safe for concurrent use; concurrent callers
 // for the same profile share one in-flight simulation via the cache's
@@ -238,14 +232,7 @@ func (r *Runner) STRefContext(ctx context.Context, name string) (*sim.Result, er
 		return nil, fmt.Errorf("experiments: unknown profile %q", name)
 	}
 	r.markUsed()
-	machine := r.Opts.Machine
-	machine.Controller.Policy = core.EventOnly{}
-	res, err := r.cache.RunSpecContext(ctx, sim.Spec{
-		Machine:  machine,
-		Threads:  []sim.ThreadSpec{{Profile: prof, Slot: 0}},
-		Scale:    r.Opts.Scale,
-		Watchdog: r.Opts.Watchdog,
-	})
+	res, err := r.cache.RunSpecContext(ctx, r.stSpec(prof))
 	if err != nil {
 		return nil, err
 	}
@@ -254,46 +241,42 @@ func (r *Runner) STRefContext(ctx context.Context, name string) (*sim.Result, er
 	return res, nil
 }
 
-// policyFor maps an F level to the controller policy.
-func policyFor(f float64) core.Policy {
+// stSpec is the runner's single-thread spec for prof: slot 0,
+// StartSeq 0, event-only on Opts.Machine. The matrix references
+// (STRefContext) and the trace fit (measureProfile) both run it.
+func (r *Runner) stSpec(prof workload.Profile) sim.Spec {
+	m := r.Opts.Machine
+	m.Controller.Policy = core.EventOnly{}
+	return sim.Spec{
+		Machine:  m,
+		Threads:  []sim.ThreadSpec{{Profile: prof}},
+		Scale:    r.Opts.Scale,
+		Watchdog: r.Opts.Watchdog,
+	}
+}
+
+// PolicyFor maps an F level to the controller policy: event-only at
+// F <= 0, Fairness{F} above.
+func PolicyFor(f float64) core.Policy {
 	if f <= 0 {
 		return core.EventOnly{}
 	}
 	return core.Fairness{F: f}
 }
 
-// RunPairAt runs one pair at one enforcement level through the cache;
-// see RunPairAtContext.
-func (r *Runner) RunPairAt(p Pair, f float64) (*sim.Result, error) {
-	return r.RunPairAtContext(context.Background(), p, f)
-}
-
-// RunPairAtContext runs one pair at one enforcement level through the
-// cache, honoring ctx.
-func (r *Runner) RunPairAtContext(ctx context.Context, p Pair, f float64) (*sim.Result, error) {
-	return r.runPairAt(ctx, p, f, nil)
-}
-
-// runPairAt is RunPairAtContext with a sibling scope (nil = none)
-// attached to the simulated spec.
+// runPairAt runs one pair at one enforcement level through the cache,
+// with a sibling scope (nil = none) attached to the simulated spec.
 func (r *Runner) runPairAt(ctx context.Context, p Pair, f float64, sib *sim.Siblings) (*sim.Result, error) {
 	r.markUsed()
 	m := r.Opts.Machine
-	m.Controller.Policy = policyFor(f)
-	spec := sim.Spec{
-		Machine: m,
-		Threads: []sim.ThreadSpec{
-			{Profile: workload.MustByName(p.A), Slot: 0},
-			{Profile: workload.MustByName(p.B), Slot: 1},
-		},
+	m.Controller.Policy = PolicyFor(f)
+	res, err := r.cache.RunSpecContext(ctx, sim.Spec{
+		Machine:  m,
+		Threads:  p.Threads(r.Opts.SameOffset),
 		Scale:    r.Opts.Scale,
 		Watchdog: r.Opts.Watchdog,
 		Siblings: sib,
-	}
-	if p.Same() {
-		spec.Threads[1].StartSeq = r.Opts.SameOffset
-	}
-	res, err := r.cache.RunSpecContext(ctx, spec)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -301,12 +284,6 @@ func (r *Runner) runPairAt(ctx context.Context, p Pair, f float64, sib *sim.Sibl
 	r.logf("SOE %-12s F=%-4v IPC=%.3f switches=%d forced=%d",
 		p.Name(), f, res.IPCTotal, res.Switches.Total(), res.Switches.Forced())
 	return res, nil
-}
-
-// RunPair runs the full F matrix plus ST references for one pair; see
-// RunPairContext.
-func (r *Runner) RunPair(p Pair) (*PairRun, error) {
-	return r.RunPairContext(context.Background(), p)
 }
 
 // RunPairContext runs the full F matrix plus ST references for one
@@ -350,11 +327,6 @@ func (r *Runner) RunPairContext(ctx context.Context, p Pair) (*PairRun, error) {
 	}
 	r.mu.Unlock()
 	return pr, nil
-}
-
-// RunAll runs the full matrix over Pairs(); see RunAllContext.
-func (r *Runner) RunAll() ([]*PairRun, error) {
-	return r.RunAllContext(context.Background())
 }
 
 // RunAllContext runs the full matrix over Pairs(), distributing pairs

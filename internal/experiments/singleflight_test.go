@@ -73,7 +73,7 @@ func TestSingleflightFollowerSurvivesLeaderCancel(t *testing.T) {
 	}
 
 	// The cell is not poisoned: a later call is a plain memory hit.
-	res, err := c.RunSpec(spec)
+	res, err := c.RunSpecContext(context.Background(), spec)
 	if err != nil || res != fo.res {
 		t.Fatalf("post-recovery lookup = (%v, %v), want the shared result", res, err)
 	}
@@ -95,7 +95,7 @@ func TestSingleflightFollowerHonorsOwnCancel(t *testing.T) {
 		<-release
 		return fakeResult(1.0), nil
 	}
-	go c.RunSpec(spec)
+	go c.RunSpecContext(context.Background(), spec)
 	<-leaderIn
 
 	followerCtx, cancelFollower := context.WithCancel(context.Background())
@@ -137,7 +137,7 @@ func TestSingleflightRealErrorsPropagate(t *testing.T) {
 	}
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := c.RunSpec(spec)
+		_, err := c.RunSpecContext(context.Background(), spec)
 		leaderErr <- err
 	}()
 	<-leaderIn

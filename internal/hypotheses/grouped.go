@@ -2,6 +2,7 @@ package hypotheses
 
 import (
 	"fmt"
+	"strings"
 
 	"soemt/internal/core"
 	"soemt/internal/experiments"
@@ -60,12 +61,13 @@ func runGroupedFairness(env Env) (*Outcome, error) {
 		for _, a := range arms {
 			m := sim.DefaultMachine()
 			m.Controller.Policy = a.policy
-			res, sp, err := experiments.RunMix(env.Ctx, env.Cache, env.Watchdog, m, specs, env.Scale)
+			res, sp, err := experiments.RunMix(env.Ctx, env.Cache,
+				sim.Spec{Machine: m, Threads: specs, Scale: env.Scale, Watchdog: env.Watchdog})
 			if err != nil {
 				return nil, err
 			}
 			f := core.FairnessMetric(sp)
-			o.Table.AddRow(fmt.Sprintf("%d", n), joinMix(names), a.label,
+			o.Table.AddRow(fmt.Sprintf("%d", n), strings.Join(names, ":"), a.label,
 				fmt.Sprintf("%.3f", f),
 				fmt.Sprintf("%d", res.Switches.Forced()),
 				fmt.Sprintf("%.3f", res.IPCTotal))
@@ -91,12 +93,4 @@ func runGroupedFairness(env Env) (*Outcome, error) {
 		"swapping the groups at a decisive weight ratio re-starves gcc to the " +
 		"event-only floor.")
 	return o, nil
-}
-
-func joinMix(names []string) string {
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ":" + n
-	}
-	return out
 }

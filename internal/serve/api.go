@@ -47,7 +47,7 @@ type RunRequest struct {
 type SweepRequest struct {
 	// Pairs restricts the sweep to the named "a:b" combinations. Empty
 	// means the paper's full 16-pair matrix, executed through the pooled
-	// experiments.RunAll path.
+	// experiments.RunAllContext path.
 	Pairs []string `json:"pairs,omitempty"`
 	// Scale selects the measurement protocol (as in RunRequest).
 	Scale string `json:"scale,omitempty"`
@@ -106,13 +106,6 @@ func scaleByName(name string) (sim.Scale, error) {
 	return sim.ScaleByName(name)
 }
 
-func policyFor(f float64) core.Policy {
-	if f <= 0 {
-		return core.EventOnly{}
-	}
-	return core.Fairness{F: f}
-}
-
 // sameOffset mirrors the sweep tools: paper-scale same-benchmark pairs
 // start 1M instructions apart, smaller scales 100k.
 func sameOffset(sc sim.Scale) uint64 {
@@ -120,22 +113,6 @@ func sameOffset(sc sim.Scale) uint64 {
 		return 1_000_000
 	}
 	return 100_000
-}
-
-func splitPair(pair string) (workload.Profile, workload.Profile, error) {
-	parts := strings.SplitN(pair, ":", 2)
-	if len(parts) != 2 {
-		return workload.Profile{}, workload.Profile{}, fmt.Errorf("pair must be a:b, got %q", pair)
-	}
-	a, ok := workload.ByName(parts[0])
-	if !ok {
-		return workload.Profile{}, workload.Profile{}, fmt.Errorf("unknown profile %q", parts[0])
-	}
-	b, ok := workload.ByName(parts[1])
-	if !ok {
-		return workload.Profile{}, workload.Profile{}, fmt.Errorf("unknown profile %q", parts[1])
-	}
-	return a, b, nil
 }
 
 // buildSpec validates the request and lowers it to a sim.Spec plus the
@@ -165,23 +142,13 @@ func (rq RunRequest) buildSpec() (sim.Spec, []string, error) {
 		}
 		return spec, []string{p.Name}, nil
 	}
-	a, b, err := splitPair(rq.Pair)
+	p, err := experiments.ParsePair(rq.Pair)
 	if err != nil {
 		return sim.Spec{}, nil, err
 	}
-	m.Controller.Policy = policyFor(rq.F)
-	spec := sim.Spec{
-		Machine: m,
-		Threads: []sim.ThreadSpec{
-			{Profile: a, Slot: 0},
-			{Profile: b, Slot: 1},
-		},
-		Scale: sc,
-	}
-	if a.Name == b.Name {
-		spec.Threads[1].StartSeq = sameOffset(sc)
-	}
-	return spec, []string{a.Name, b.Name}, nil
+	m.Controller.Policy = experiments.PolicyFor(rq.F)
+	spec := sim.Spec{Machine: m, Threads: p.Threads(sameOffset(sc)), Scale: sc}
+	return spec, []string{p.A, p.B}, nil
 }
 
 // RouteKey returns the content-addressed key a gateway routes this
@@ -225,7 +192,7 @@ func (rq SweepRequest) validate() error {
 		return err
 	}
 	for _, p := range rq.Pairs {
-		if _, _, err := splitPair(p); err != nil {
+		if _, err := experiments.ParsePair(p); err != nil {
 			return err
 		}
 	}

@@ -127,11 +127,11 @@ func (s *Server) fastRunAnswer(rq RunRequest, fp string) (*FastRunResult, error)
 		out.Fairness = 1
 		out.Threads = []FastThreadIPC{{Name: rq.Bench, IPC: ipc, Speedup: 1}}
 	} else {
-		a, b, err := splitPair(rq.Pair)
+		pair, err := experiments.ParsePair(rq.Pair)
 		if err != nil {
 			return nil, err
 		}
-		sys, err := cal.System(a.Name, b.Name)
+		sys, err := cal.System(pair.A, pair.B)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func (s *Server) fastRunAnswer(rq RunRequest, fp string) (*FastRunResult, error)
 		}
 		out.IPCTotal = p.Total
 		out.Fairness = p.Fairness
-		for i, name := range []string{a.Name, b.Name} {
+		for i, name := range []string{pair.A, pair.B} {
 			out.Threads = append(out.Threads, FastThreadIPC{
 				Name: name, IPC: p.IPCSOE[i], Speedup: p.Speedup[i],
 			})
@@ -179,11 +179,11 @@ func (s *Server) fastSweepAnswer(rq SweepRequest) (*FastSweepResult, error) {
 		ErrFairness: cal.ErrFairness,
 	}
 	for _, name := range names {
-		a, b, err := splitPair(name)
+		pair, err := experiments.ParsePair(name)
 		if err != nil {
 			return nil, err
 		}
-		sys, err := cal.System(a.Name, b.Name)
+		sys, err := cal.System(pair.A, pair.B)
 		if err != nil {
 			return nil, err
 		}

@@ -487,7 +487,7 @@ func (s *Server) executeSweep(j *job) (any, error) {
 	}
 	out := &SweepResult{}
 	if len(j.sweep.Pairs) == 0 {
-		// Full matrix: the pooled RunAll path distributes the 16 pairs
+		// Full matrix: the pooled RunAllContext path distributes the 16 pairs
 		// across the runner's workers.
 		prs, err := r.RunAllContext(s.baseCtx)
 		for _, pr := range prs {
@@ -504,11 +504,11 @@ func (s *Server) executeSweep(j *job) (any, error) {
 		return out, nil
 	}
 	for _, name := range j.sweep.Pairs {
-		a, b, err := splitPair(name)
+		pair, err := experiments.ParsePair(name)
 		if err != nil {
 			return out, err
 		}
-		pr, err := r.RunPairContext(s.baseCtx, experiments.Pair{A: a.Name, B: b.Name})
+		pr, err := r.RunPairContext(s.baseCtx, pair)
 		if err != nil {
 			return s.checkpointSweep(j, out, err)
 		}
