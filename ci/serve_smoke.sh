@@ -4,7 +4,8 @@
 #
 #   1. the dedup invariant — the shared spec simulates exactly once,
 #      so runner.runs_started equals the number of DISTINCT specs and
-#      serve.coalesced + cache hits account for every duplicate;
+#      serve.coalesced + cache hits account for every duplicate; once
+#      nothing is pending, serve.queue.depth reads 0;
 #   2. clean SIGTERM drain — jobs submitted right before the signal
 #      all finish, the process logs a lossless drain and exits 0.
 #
@@ -57,6 +58,12 @@ for i in $(seq 1 240); do
 done
 if [ "${pending:-1}" != "0" ]; then
     echo "serve_smoke: FAIL — jobs still pending after timeout" >&2
+    exit 1
+fi
+# Every job has finished, so none can still be waiting for a slot.
+depth=$(metric serve.queue.depth)
+if [ "${depth:-1}" != "0" ]; then
+    echo "serve_smoke: FAIL — serve.queue.depth=${depth:-missing} with no job pending" >&2
     exit 1
 fi
 

@@ -1,8 +1,7 @@
 // Command soeserve exposes the SOE experiment engine as an HTTP
 // service: a bounded job queue with backpressure, request coalescing
-// on top of the content-addressed result cache, micro-batched
-// dispatch into a simulation worker pool, and graceful drain on
-// SIGINT/SIGTERM.
+// on top of the content-addressed result cache, a simulation worker
+// pool, and graceful drain on SIGINT/SIGTERM.
 //
 //	soeserve -addr :8080 -cache-dir /var/cache/soemt
 //
@@ -32,8 +31,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		queueDepth   = flag.Int("queue", 64, "max accepted-but-unfinished jobs; beyond this, submissions get 429")
-		batchSize    = flag.Int("batch", 8, "max jobs per dispatched batch")
-		batchDelay   = flag.Duration("batch-delay", 2*time.Millisecond, "max wait to fill a batch after the first job")
 		traceCap     = flag.Int("trace-cap", 1<<16, "event-tracer ring capacity for trace-requesting jobs")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "max time to finish accepted jobs on shutdown before cancelling them")
 		tier         = flag.String("tier", "auto", "default serving tier when requests leave it unset: fast (calibrated model, synchronous), exact (cycle-accurate job), or auto (fast answer + exact refinement)")
@@ -65,8 +62,6 @@ func main() {
 	srv, err := serve.NewServer(serve.Config{
 		QueueDepth:      *queueDepth,
 		Workers:         rf.Workers,
-		BatchSize:       *batchSize,
-		BatchDelay:      *batchDelay,
 		CacheDir:        rf.CacheDir,
 		TraceCap:        *traceCap,
 		DefaultTier:     *tier,
@@ -130,8 +125,8 @@ func main() {
 		hs.Shutdown(sctx)
 	}()
 
-	log.Printf("soeserve: listening on %s (queue=%d workers=%d batch=%d/%s cache=%q)",
-		*addr, *queueDepth, rf.Workers, *batchSize, *batchDelay, rf.CacheDir)
+	log.Printf("soeserve: listening on %s (queue=%d workers=%d cache=%q)",
+		*addr, *queueDepth, rf.Workers, rf.CacheDir)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		cli.Fatal("soeserve", err)
 	}

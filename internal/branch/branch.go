@@ -10,18 +10,7 @@
 // IPC slightly lower than the real one (Section 5.1.1).
 package branch
 
-import "fmt"
-
 // Direction predictors ----------------------------------------------------
-
-// Predictor predicts conditional branch directions and learns from
-// resolved outcomes.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the architectural outcome.
-	Update(pc uint64, taken bool)
-}
 
 // counter2 is a saturating 2-bit counter: 0,1 predict not-taken; 2,3
 // predict taken.
@@ -62,10 +51,10 @@ func NewBimodal(entries int) *Bimodal {
 
 func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 2) & b.mask }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.index(pc)].taken() }
 
-// Update implements Predictor.
+// Update trains the predictor with the architectural outcome.
 func (b *Bimodal) Update(pc uint64, taken bool) {
 	i := b.index(pc)
 	b.table[i] = b.table[i].train(taken)
@@ -103,11 +92,11 @@ func (g *Gshare) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ g.history) & g.mask
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (g *Gshare) Predict(pc uint64) bool { return g.table[g.index(pc)].taken() }
 
-// Update implements Predictor. It trains the indexed counter with the
-// pre-update history, then shifts the outcome into the history.
+// Update trains the indexed counter with the pre-update history, then
+// shifts the outcome into the history.
 func (g *Gshare) Update(pc uint64, taken bool) {
 	i := g.index(pc)
 	g.table[i] = g.table[i].train(taken)
@@ -143,7 +132,7 @@ func NewTournament(entries int, historyBits uint) *Tournament {
 	}
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (t *Tournament) Predict(pc uint64) bool {
 	if t.chooser[(pc>>2)&t.mask].taken() {
 		return t.global.Predict(pc)
@@ -151,9 +140,8 @@ func (t *Tournament) Predict(pc uint64) bool {
 	return t.local.Predict(pc)
 }
 
-// Update implements Predictor: the chooser trains toward whichever
-// component was correct (when they disagree), then both components
-// train.
+// Update trains the chooser toward whichever component was correct
+// (when they disagree), then trains both components.
 func (t *Tournament) Update(pc uint64, taken bool) {
 	lp := t.local.Predict(pc)
 	gp := t.global.Predict(pc)
@@ -246,7 +234,7 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 // Unit bundles the direction predictor, BTB and RAS into the front-end
 // branch unit used by the pipeline, and tracks accuracy statistics.
 type Unit struct {
-	Dir Predictor
+	Dir *Tournament
 	BTB *BTB
 	RAS *RAS
 
@@ -283,15 +271,9 @@ func (u *Unit) Resolve(pc uint64, predicted, taken bool, target uint64) {
 }
 
 // CopyFrom overwrites u's predictor tables, BTB, RAS and statistics
-// with src's. Both units must be built by NewUnit with the same sizes;
-// a unit whose direction predictor was replaced is a programming error
-// and panics.
+// with src's. Both units must be built by NewUnit with the same sizes.
 func (u *Unit) CopyFrom(src *Unit) {
-	dir, ok := u.Dir.(*Tournament)
-	if !ok {
-		panic(fmt.Sprintf("branch: CopyFrom: unsupported direction predictor %T", u.Dir))
-	}
-	dir.copyFrom(src.Dir.(*Tournament))
+	u.Dir.copyFrom(src.Dir)
 	copy(u.BTB.tags, src.BTB.tags)
 	copy(u.BTB.targets, src.BTB.targets)
 	copy(u.BTB.valid, src.BTB.valid)

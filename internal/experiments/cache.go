@@ -203,8 +203,9 @@ func (c *Cache) RunSpecContext(ctx context.Context, spec sim.Spec) (*sim.Result,
 // simulation and records nothing (§10 contract), so a live tracer
 // requires an actual run regardless of cache state. soesim's
 // -trace-events path and soeserve's "trace": true jobs use it.
-// Run-lifecycle metrics (runs_started/completed/failed, sim cycles
-// and wall time) are still counted.
+// Run-lifecycle metrics (runs_started/completed/failed/cancelled, sim
+// cycles and wall time) are still counted; a run stopped by its
+// context counts as cancelled, not failed.
 func (c *Cache) RunSpecFresh(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
 	// Fresh simulations publish their engine metrics (pipe.*, core.*,
 	// sim.*) into the cache's registry unless the caller attached its
@@ -217,7 +218,11 @@ func (c *Cache) RunSpecFresh(ctx context.Context, spec sim.Spec) (*sim.Result, e
 	start := time.Now()
 	r, err := c.run(ctx, spec)
 	if err != nil {
-		c.m.runsFailed.Add(1)
+		if cancellation(err) {
+			c.m.runsCancelled.Add(1)
+		} else {
+			c.m.runsFailed.Add(1)
+		}
 		return nil, err
 	}
 	c.m.runsCompleted.Add(1)

@@ -211,6 +211,44 @@ func TestCacheSingleflightDedup(t *testing.T) {
 	}
 }
 
+// A run stopped by its context counts as cancelled, not failed, so
+// the metrics line printed on an interrupted exit tells the two apart;
+// a genuine error still counts as failed.
+func TestRunSpecFreshCountsCancellationApartFromFailure(t *testing.T) {
+	boom := errors.New("injected simulation failure")
+	c := NewMemCache()
+	c.run = func(ctx context.Context, _ sim.Spec) (*sim.Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, boom
+	}
+	spec := testSpec(testOptions())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.RunSpecFresh(cancelled, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if _, err := c.RunSpecFresh(context.Background(), spec); !errors.Is(err, boom) {
+		t.Fatalf("failing run: err = %v, want the injected failure", err)
+	}
+
+	reg := c.Observability()
+	if got := reg.Counter("runner.runs_cancelled").Load(); got != 1 {
+		t.Errorf("runner.runs_cancelled = %d, want 1", got)
+	}
+	if got := reg.Counter("runner.runs_failed").Load(); got != 1 {
+		t.Errorf("runner.runs_failed = %d, want 1 (the cancellation must not count)", got)
+	}
+	m := c.Metrics()
+	if m.RunsStarted != 2 || m.RunsCompleted != 0 || m.RunsFailed != 1 {
+		t.Errorf("metrics = %+v, want 2 started, 0 completed, 1 failed", m)
+	}
+	if line := m.String(); !strings.Contains(line, "(failed=1 cancelled=1 ") {
+		t.Errorf("metrics line %q lacks failed=1 cancelled=1", line)
+	}
+}
+
 // stubRunner returns a Runner whose simulations are stubbed: ST
 // (single-thread) specs succeed with a fake result; pair specs go
 // through onPair.
@@ -298,10 +336,11 @@ func TestRunnerPersistentCacheMetrics(t *testing.T) {
 	dir := t.TempDir()
 	var sims atomic.Uint64
 	newStub := func() *Runner {
-		r := NewRunner(testOptions())
-		if err := r.SetCacheDir(dir); err != nil {
+		c, err := NewCache(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
+		r := NewRunnerWith(testOptions(), c)
 		r.Cache().run = func(_ context.Context, spec sim.Spec) (*sim.Result, error) {
 			sims.Add(1)
 			return fakeResult(float64(len(spec.Threads))), nil

@@ -293,20 +293,6 @@ func TestRunAllReturnsPartialResultsOnFailure(t *testing.T) {
 	}
 }
 
-// SetCacheDir after the first run must refuse: in-memory results from
-// the old cache would shadow the new store.
-func TestSetCacheDirAfterUseErrors(t *testing.T) {
-	r := stubRunner(t, func(sim.Spec) (*sim.Result, error) {
-		return fakeResult(1), nil
-	})
-	if _, err := r.STRefContext(context.Background(), "gcc"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetCacheDir(t.TempDir()); err == nil {
-		t.Fatal("SetCacheDir after a run must error")
-	}
-}
-
 func TestInterruptMarkerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(dir)

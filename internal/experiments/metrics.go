@@ -14,7 +14,8 @@ import (
 type RunnerMetrics struct {
 	RunsStarted   uint64 // simulations dispatched to sim.Run
 	RunsCompleted uint64 // simulations that returned a result
-	RunsFailed    uint64 // simulations that returned an error
+	RunsFailed    uint64 // simulations that returned an error other than a cancellation
+	RunsCancelled uint64 // simulations stopped by their context (signal, drain, deadline)
 	TruncatedRuns uint64 // completed runs with Result.Truncated set
 
 	MemHits   uint64 // served from the in-memory layer
@@ -51,9 +52,9 @@ func (m RunnerMetrics) CyclesPerSec() float64 {
 // String renders a one-line summary suitable for Progress callbacks.
 func (m RunnerMetrics) String() string {
 	return fmt.Sprintf(
-		"runs=%d/%d (failed=%d truncated=%d) cache hits=%d (mem=%d disk=%d dedup=%d) misses=%d sim=%.2gMcyc %.3gMcyc/s wall=%s"+
+		"runs=%d/%d (failed=%d cancelled=%d truncated=%d) cache hits=%d (mem=%d disk=%d dedup=%d) misses=%d sim=%.2gMcyc %.3gMcyc/s wall=%s"+
 			" sibling reuse prefix=%d result=%d phases build=%s cache-warm=%s timing-warm=%s measure=%s",
-		m.RunsCompleted, m.RunsStarted, m.RunsFailed, m.TruncatedRuns,
+		m.RunsCompleted, m.RunsStarted, m.RunsFailed, m.RunsCancelled, m.TruncatedRuns,
 		m.CacheHits(), m.MemHits, m.DiskHits, m.DedupHits, m.Misses,
 		float64(m.SimulatedCycles)/1e6, m.CyclesPerSec()/1e6,
 		m.SimWall.Round(time.Millisecond),
@@ -76,6 +77,7 @@ type metrics struct {
 	runsStarted   *obs.Counter
 	runsCompleted *obs.Counter
 	runsFailed    *obs.Counter
+	runsCancelled *obs.Counter
 	truncated     *obs.Counter
 
 	memHits   *obs.Counter
@@ -114,6 +116,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		runsStarted:   reg.Counter("runner.runs_started"),
 		runsCompleted: reg.Counter("runner.runs_completed"),
 		runsFailed:    reg.Counter("runner.runs_failed"),
+		runsCancelled: reg.Counter("runner.runs_cancelled"),
 		truncated:     reg.Counter("runner.runs_truncated"),
 		memHits:       reg.Counter("cache.mem_hits"),
 		diskHits:      reg.Counter("cache.disk_hits"),
@@ -140,6 +143,7 @@ func (m *metrics) snapshot() RunnerMetrics {
 		RunsStarted:     m.runsStarted.Load(),
 		RunsCompleted:   m.runsCompleted.Load(),
 		RunsFailed:      m.runsFailed.Load(),
+		RunsCancelled:   m.runsCancelled.Load(),
 		TruncatedRuns:   m.truncated.Load(),
 		MemHits:         m.memHits.Load(),
 		DiskHits:        m.diskHits.Load(),

@@ -122,7 +122,6 @@ type Runner struct {
 
 	mu    sync.Mutex
 	pairs map[string]*PairRun
-	used  bool // a simulation has been requested through this runner
 
 	// Progress, if non-nil, receives one line per completed run. It
 	// may be called from multiple goroutines.
@@ -157,27 +156,6 @@ func NewRunnerWith(opts Options, c *Cache) *Runner {
 	}
 }
 
-// SetCacheDir switches the runner to a persistent cache rooted at dir
-// (created if missing; an uncreatable dir degrades to memory-only with
-// a warning rather than failing). It must be called before the first
-// run: switching afterwards would let results memoized under the old
-// cache shadow the new store, so it returns an error instead.
-func (r *Runner) SetCacheDir(dir string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.used {
-		return fmt.Errorf("experiments: SetCacheDir(%q) after the runner has executed runs; configure the cache before the first run", dir)
-	}
-	c, err := NewCache(dir)
-	if err != nil {
-		return err
-	}
-	c.Logf = r.logf
-	c.Faults = r.Faults
-	r.cache = c
-	return nil
-}
-
 // Cache returns the runner's result cache.
 func (r *Runner) Cache() *Cache { return r.cache }
 
@@ -197,17 +175,15 @@ func (r *Runner) logf(format string, args ...interface{}) {
 	}
 }
 
-// markUsed freezes the runner's cache configuration (see SetCacheDir)
-// and propagates the fault injector installed by tests.
-func (r *Runner) markUsed() {
+// shareFaults propagates the fault injector installed by tests to the
+// cache before a run. Only an installed injector is propagated:
+// runners sharing a cache (NewRunnerWith) must not clear each other's
+// faults. The field is written only when it changes, under r.mu, so
+// runs that follow read it race-free.
+func (r *Runner) shareFaults() {
 	r.mu.Lock()
-	if !r.used {
-		r.used = true
-		if r.Faults != nil {
-			// Propagate only an installed injector: runners sharing a
-			// cache (NewRunnerWith) must not clear each other's faults.
-			r.cache.Faults = r.Faults
-		}
+	if r.Faults != nil && r.cache.Faults != r.Faults {
+		r.cache.Faults = r.Faults
 	}
 	r.mu.Unlock()
 }
@@ -231,7 +207,7 @@ func (r *Runner) STRefContext(ctx context.Context, name string) (*sim.Result, er
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown profile %q", name)
 	}
-	r.markUsed()
+	r.shareFaults()
 	res, err := r.cache.RunSpecContext(ctx, r.stSpec(prof))
 	if err != nil {
 		return nil, err
@@ -267,7 +243,7 @@ func PolicyFor(f float64) core.Policy {
 // runPairAt runs one pair at one enforcement level through the cache,
 // with a sibling scope (nil = none) attached to the simulated spec.
 func (r *Runner) runPairAt(ctx context.Context, p Pair, f float64, sib *sim.Siblings) (*sim.Result, error) {
-	r.markUsed()
+	r.shareFaults()
 	m := r.Opts.Machine
 	m.Controller.Policy = PolicyFor(f)
 	res, err := r.cache.RunSpecContext(ctx, sim.Spec{

@@ -3,6 +3,7 @@ package perf
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"soemt/internal/core"
 	"soemt/internal/obs"
@@ -33,20 +34,28 @@ func ObsOverheadSpec(scale sim.Scale) sim.Spec {
 	}
 }
 
-// MeasureObsOverhead times ObsOverheadSpec best-of-rounds twice — with
-// observability detached (Spec.Obs nil, the production default) and
-// with a live tracer plus registry attached — appends both best
-// entries to the report under engines "obs-off" and "obs-on", records
-// the wall-time ratio in Report.ObsOverhead, and returns it. Best-of-N
-// suppresses scheduler noise: overheads in the single percents are
-// smaller than run-to-run variance of a single run.
+// MeasureObsOverhead times ObsOverheadSpec in rounds of two back-to-back
+// runs — one with observability detached (Spec.Obs nil, the production
+// default), one with a live tracer plus registry attached — and returns
+// the median of the per-round on/off wall-time ratios, which it also
+// records in Report.ObsOverhead. The arm that runs first alternates
+// from round to round. Pairing the arms within a round means a host
+// that changes speed, or load from other processes, moves both sides
+// of a ratio alike. The best entry of each arm is appended to the
+// report, under engines "obs-off" and "obs-on".
 func MeasureObsOverhead(ctx context.Context, r *Report, scale sim.Scale, rounds int, progress func(string)) (float64, error) {
 	if rounds < 1 {
 		rounds = 3
 	}
 	best := map[string]Entry{}
+	ratios := make([]float64, 0, rounds)
 	for round := 0; round < rounds; round++ {
-		for _, mode := range []string{"obs-off", "obs-on"} {
+		modes := []string{"obs-off", "obs-on"}
+		if round%2 == 1 {
+			modes[0], modes[1] = modes[1], modes[0]
+		}
+		secs := map[string]float64{}
+		for _, mode := range modes {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
@@ -71,26 +80,29 @@ func MeasureObsOverhead(ctx context.Context, r *Report, scale sim.Scale, rounds 
 			if mode == "obs-on" && spec.Obs.Trace.Len() == 0 {
 				return 0, fmt.Errorf("perf: obs-on run traced no events; measurement is vacuous")
 			}
+			secs[mode] = e.Seconds
 			if b, ok := best[mode]; !ok || e.Seconds < b.Seconds {
 				best[mode] = e
 			}
 		}
+		if secs["obs-off"] <= 0 {
+			// A ~0s obs-off wall time would make the ratio +Inf/NaN, which
+			// encoding/json refuses to marshal — the whole report write
+			// would fail long after the measurement ran.
+			return 0, fmt.Errorf("perf: obs-off run measured no wall time; overhead ratio undefined")
+		}
+		ratios = append(ratios, secs["obs-on"]/secs["obs-off"])
 	}
 	off, on := best["obs-off"], best["obs-on"]
 	r.Entries = append(r.Entries, off, on)
-	if off.Seconds <= 0 {
-		// A ~0s obs-off wall time would make the ratio +Inf/NaN, which
-		// encoding/json refuses to marshal — the whole report write
-		// would fail long after the measurement ran.
-		return 0, fmt.Errorf("perf: obs-off run measured no wall time; overhead ratio undefined")
-	}
-	ratio := on.Seconds / off.Seconds
+	sort.Float64s(ratios)
+	ratio := ratios[len(ratios)/2]
 	if r.ObsOverhead == nil {
 		r.ObsOverhead = map[string]float64{}
 	}
 	r.ObsOverhead[obsScenarioName] = ratio
 	if progress != nil {
-		progress(fmt.Sprintf("%-28s obs on/off %.3fx (best of %d: %.3fs vs %.3fs)",
+		progress(fmt.Sprintf("%-28s obs on/off %.3fx (median of %d paired rounds; best %.3fs vs %.3fs)",
 			obsScenarioName, ratio, rounds, on.Seconds, off.Seconds))
 	}
 	return ratio, nil

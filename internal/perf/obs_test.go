@@ -14,13 +14,16 @@ import (
 // DESIGN.md §10 budget of ≤2% for the DISABLED configuration is bounded
 // by this measurement from above; soebench records the precise ratio at
 // realistic scales, where the per-run constant costs amortize further.
+// The gate reads the median of nine paired on/off rounds, so load from
+// packages testing in parallel moves both arms of a round alike, and a
+// few rounds it still skews cannot move the median past the budget.
 func TestObsOverheadWithinBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement")
 	}
 	scale := sim.Scale{CacheWarm: 40_000, Warm: 20_000, Measure: 120_000, MaxCycles: 10_000_000}
 	r := NewReport("test")
-	ratio, err := MeasureObsOverhead(context.Background(), r, scale, 3, nil)
+	ratio, err := MeasureObsOverhead(context.Background(), r, scale, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

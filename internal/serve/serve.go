@@ -1,17 +1,17 @@
-// Package serve implements soeserve, the batching simulation service:
-// the experiment engine behind a bounded job queue with backpressure,
-// a request coalescer layered on the content-addressed result cache,
-// and a micro-batcher feeding a simulation worker pool.
+// Package serve implements soeserve, the simulation service: the
+// experiment engine behind a bounded job queue with backpressure, a
+// request coalescer layered on the content-addressed result cache,
+// and a simulation worker pool.
 //
 // Request flow (DESIGN.md §11):
 //
 //	POST /v1/run ───┐
-//	POST /v1/sweep ─┴▶ coalescer ▶ bounded queue ▶ micro-batcher ▶ worker pool ▶ cache/singleflight ▶ sim
+//	POST /v1/sweep ─┴▶ coalescer ▶ bounded admission ▶ worker pool ▶ cache/singleflight ▶ sim
 //
 // Admission is bounded by QueueDepth accepted-but-unfinished jobs;
 // beyond that, submissions get 429 + Retry-After instead of unbounded
-// memory. Identical concurrent requests coalesce onto one job before
-// the queue, and whatever slips past the coalescer (e.g. a request
+// memory. Identical concurrent requests coalesce onto one job at
+// admission, and whatever slips past the coalescer (e.g. a request
 // arriving after its twin started running) is still deduplicated by
 // the cache's singleflight layer — so N identical submissions cost one
 // simulation regardless of timing.
@@ -52,12 +52,6 @@ type Config struct {
 	QueueDepth int
 	// Workers bounds concurrent simulations. Default GOMAXPROCS.
 	Workers int
-	// BatchSize is the largest group of queued jobs the micro-batcher
-	// dispatches to the pool at once. Default 8.
-	BatchSize int
-	// BatchDelay is how long the batcher waits to fill a batch after
-	// the first job arrives. Default 2ms.
-	BatchDelay time.Duration
 	// CacheDir roots the persistent result cache ("" = memory-only).
 	CacheDir string
 	// TraceCap is the tracer ring capacity for trace-requesting jobs.
@@ -96,12 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = 2 * time.Millisecond
-	}
 	if c.TraceCap <= 0 {
 		c.TraceCap = 1 << 16
 	}
@@ -132,8 +120,7 @@ type Server struct {
 	cache *experiments.Cache
 	reg   *obs.Registry
 
-	queue chan *job
-	sem   chan struct{} // worker-pool slots
+	sem chan struct{} // worker-pool slots
 
 	calibration *model.Calibration // immutable after NewServer
 
@@ -150,7 +137,6 @@ type Server struct {
 	seq       int
 
 	jobWG sync.WaitGroup // accepted jobs
-	wg    sync.WaitGroup // dispatcher
 
 	baseCtx    context.Context // governs job execution (not tied to any request)
 	cancelJobs context.CancelFunc
@@ -160,12 +146,10 @@ type Server struct {
 	rejectedC  *obs.Counter
 	completedC *obs.Counter
 	failedC    *obs.Counter
-	batchesC   *obs.Counter
 	qWaitTotal *obs.Counter
-	qDepth     *obs.Gauge
+	qDepth     *obs.Gauge // accepted jobs waiting for a worker slot
 	qCap       *obs.Gauge
 	qWaitLast  *obs.Gauge
-	batchLast  *obs.Gauge
 	pendingG   *obs.Gauge
 
 	fastC          *obs.Counter
@@ -181,8 +165,8 @@ type terminalRef struct {
 	at time.Time
 }
 
-// NewServer builds the server, its shared result cache, and starts
-// the batch dispatcher. Stop it with Drain.
+// NewServer builds the server and its shared result cache. Stop it
+// with Drain.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if _, err := tierFor("", cfg.DefaultTier); err != nil {
@@ -208,7 +192,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cache:       cache,
 		reg:         reg,
 		calibration: cal,
-		queue:       make(chan *job, cfg.QueueDepth),
 		sem:         make(chan struct{}, cfg.Workers),
 		jobs:        make(map[string]*job),
 		active:      make(map[string]*job),
@@ -222,12 +205,10 @@ func NewServer(cfg Config) (*Server, error) {
 		rejectedC:  reg.Counter("serve.jobs_rejected"),
 		completedC: reg.Counter("serve.jobs_completed"),
 		failedC:    reg.Counter("serve.jobs_failed"),
-		batchesC:   reg.Counter("serve.batches"),
 		qWaitTotal: reg.Counter("serve.queue.wait_us_total"),
 		qDepth:     reg.Gauge("serve.queue.depth"),
 		qCap:       reg.Gauge("serve.queue.capacity"),
 		qWaitLast:  reg.Gauge("serve.queue.wait_last_us"),
-		batchLast:  reg.Gauge("serve.batch.last_size"),
 		pendingG:   reg.Gauge("serve.jobs.pending"),
 
 		fastC:          reg.Counter("serve.fast.answers"),
@@ -239,8 +220,6 @@ func NewServer(cfg Config) (*Server, error) {
 	cache.Logf = s.logf
 	s.qCap.Set(int64(cfg.QueueDepth))
 	s.publishCalibrationMetrics()
-	s.wg.Add(1)
-	go s.dispatch()
 	return s, nil
 }
 
@@ -259,10 +238,9 @@ func (s *Server) logf(format string, args ...interface{}) {
 
 // submit runs admission control under one lock acquisition: reject
 // while draining, coalesce onto a live identical job, enforce the
-// pending bound, otherwise register and enqueue. The channel send
-// cannot block: pending ≤ QueueDepth bounds the jobs that can be in
-// the channel, which has exactly that capacity. On rejection, retry is
-// the derived Retry-After in seconds.
+// pending bound, otherwise register the job and start it; it waits
+// for a worker slot in execute. On rejection, retry is the derived
+// Retry-After in seconds.
 func (s *Server) submit(j *job) (acc *job, coalesced bool, retry int, err error) {
 	s.mu.Lock()
 	s.evictLocked(time.Now())
@@ -293,27 +271,26 @@ func (s *Server) submit(j *job) (acc *job, coalesced bool, retry int, err error)
 	s.active[j.key] = j
 	s.pending++
 	s.jobWG.Add(1)
-	s.queue <- j
 	pending := s.pending
 	s.mu.Unlock()
 
 	s.acceptedC.Inc()
 	s.pendingG.Set(int64(pending))
-	s.qDepth.Set(int64(len(s.queue)))
+	s.qDepth.Add(1)
+	go s.execute(j)
 	return j, false, 0, nil
 }
 
 // retryAfterLocked derives a Retry-After from observed service time:
-// the backlog divided across the worker pool at the smoothed
-// per-job execution time, plus one batching delay. Before any job has
-// finished (no observation yet) it falls back to the 1-second floor,
-// which also keeps TestQueueFullReturns429 deterministic. Caller holds
-// s.mu.
+// the backlog divided across the worker pool at the smoothed per-job
+// execution time. Before any job has finished (no observation yet) it
+// falls back to the 1-second floor, which also keeps
+// TestQueueFullReturns429 deterministic. Caller holds s.mu.
 func (s *Server) retryAfterLocked() int {
 	if s.execEWMA <= 0 {
 		return 1
 	}
-	secs := float64(s.pending)/float64(s.cfg.Workers)*s.execEWMA + s.cfg.BatchDelay.Seconds()
+	secs := float64(s.pending) / float64(s.cfg.Workers) * s.execEWMA
 	n := int(math.Ceil(secs))
 	if n < 1 {
 		n = 1
@@ -340,48 +317,12 @@ func (s *Server) evictLocked(now time.Time) {
 	}
 }
 
-// dispatch is the micro-batcher: it collects up to BatchSize queued
-// jobs (waiting at most BatchDelay after the first) and hands the
-// batch to the worker pool. Grouping lets a burst of identical or
-// related specs reach the cache's singleflight layer together instead
-// of trickling in one scheduler wakeup at a time.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := []*job{first}
-		timer := time.NewTimer(s.cfg.BatchDelay)
-	fill:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case j, ok := <-s.queue:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, j)
-			case <-timer.C:
-				break fill
-			}
-		}
-		timer.Stop()
-		s.batchesC.Inc()
-		s.batchLast.Set(int64(len(batch)))
-		s.qDepth.Set(int64(len(s.queue)))
-		for _, j := range batch {
-			j := j
-			go func() {
-				s.sem <- struct{}{}
-				defer func() { <-s.sem }()
-				s.execute(j)
-			}()
-		}
-	}
-}
-
+// execute runs one accepted job once a worker slot is free.
 func (s *Server) execute(j *job) {
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	s.qDepth.Add(-1)
+
 	j.mu.Lock()
 	wait := time.Since(j.created)
 	j.state = StateRunning
@@ -590,7 +531,6 @@ func (s *Server) WaitIdle() { s.jobWG.Wait() }
 // Safe to call more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	already := s.draining
 	s.draining = true
 	s.mu.Unlock()
 
@@ -607,12 +547,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.cancelJobs()
 		<-idle
 	}
-	if !already {
-		// No submitter can be mid-send: sends happen under mu after the
-		// draining check, and draining has been set.
-		close(s.queue)
-	}
-	s.wg.Wait()
 	return err
 }
 
@@ -895,7 +829,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.qDepth.Set(int64(len(s.queue)))
 	if cl := s.Peers(); cl != nil {
 		cl.Snapshot() // refresh cluster.breaker_open / cluster.nodes_* gauges
 	}

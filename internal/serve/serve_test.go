@@ -160,13 +160,13 @@ func TestDistinctSpecsDoNotCoalesce(t *testing.T) {
 	}
 }
 
-// Admission is bounded by pending jobs, not channel occupancy, so the
-// 429 is deterministic: with QueueDepth=2 and a backend that cannot
-// finish, the third submission must bounce no matter how fast the
-// dispatcher drains the channel.
+// Admission is bounded by pending jobs, so the 429 is deterministic:
+// with QueueDepth=2 and a backend that cannot finish, the third
+// submission must bounce whether or not the first two hold worker
+// slots yet.
 func TestQueueFullReturns429(t *testing.T) {
 	release := make(chan struct{})
-	s, ts := newTestServer(t, Config{QueueDepth: 2, Workers: 1, BatchSize: 1},
+	s, ts := newTestServer(t, Config{QueueDepth: 2, Workers: 1},
 		func(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
 			select {
 			case <-release:
@@ -199,6 +199,41 @@ func TestQueueFullReturns429(t *testing.T) {
 		t.Fatalf("post-release submission: status %d, want 202", code)
 	}
 	s.WaitIdle()
+}
+
+// serve.queue.depth counts accepted jobs waiting for a worker slot:
+// with one worker wedged on the first of three distinct jobs, two
+// wait; once the backend is released and the server idles, none do.
+func TestQueueDepthCountsJobsWaitingForASlot(t *testing.T) {
+	started := make(chan struct{}, 3)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{QueueDepth: 8, Workers: 1},
+		func(ctx context.Context, spec sim.Spec) (*sim.Result, error) {
+			started <- struct{}{}
+			select {
+			case <-release:
+				return stubResult(spec), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+	depth := s.Observability().Gauge("serve.queue.depth")
+
+	for i, bench := range []string{"gcc", "eon", "swim"} {
+		if code, _, _ := post(t, ts.URL+"/v1/run", RunRequest{Bench: bench, Scale: "tiny", Tier: TierExact}); code != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d, want 202", i, code)
+		}
+	}
+	<-started
+	if got := depth.Load(); got != 2 {
+		t.Fatalf("serve.queue.depth = %d with one job running and two waiting, want 2", got)
+	}
+
+	close(release)
+	s.WaitIdle()
+	if got := depth.Load(); got != 0 {
+		t.Fatalf("serve.queue.depth = %d after WaitIdle, want 0", got)
+	}
 }
 
 // Drain under in-flight load: every accepted job — running or still

@@ -1,16 +1,14 @@
-// Package stats provides the counters, summary statistics, and time
-// series used by the simulator and the experiment harnesses.
+// Package stats provides the counters and summary statistics used by
+// the simulator and the experiment harnesses.
 //
 // The paper's fairness mechanism is driven entirely by per-thread
 // hardware counters sampled on a fixed period Δ; Window models exactly
-// that sample-and-reset behaviour. Series records per-sample values for
-// the time-series figures (Figure 5).
+// that sample-and-reset behaviour.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -39,22 +37,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)))
 }
 
-// GeoMean returns the geometric mean of xs. All values must be
-// positive; non-positive values make the result 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // HarmonicMean returns the harmonic mean of xs (used by the Luo et al.
 // fairness metric the paper compares against). Non-positive values make
 // the result 0.
@@ -70,30 +52,6 @@ func HarmonicMean(xs []float64) float64 {
 		s += 1 / x
 	}
 	return float64(len(xs)) / s
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of xs using linear
-// interpolation between order statistics.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Min returns the minimum of xs, or +Inf for an empty slice.
@@ -227,26 +185,3 @@ func (w *Window) Sample() Counters {
 	w.last = w.Totals
 	return d
 }
-
-// Series is an append-only time series of (cycle, value) points, used
-// to reproduce the paper's Figure 5 plots.
-type Series struct {
-	Name   string
-	Cycles []uint64
-	Values []float64
-}
-
-// Append adds a point to the series.
-func (s *Series) Append(cycle uint64, v float64) {
-	s.Cycles = append(s.Cycles, cycle)
-	s.Values = append(s.Values, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Values) }
-
-// At returns the i-th point.
-func (s *Series) At(i int) (uint64, float64) { return s.Cycles[i], s.Values[i] }
-
-// MeanValue returns the mean of the series values.
-func (s *Series) MeanValue() float64 { return Mean(s.Values) }

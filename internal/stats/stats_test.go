@@ -30,18 +30,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if !almost(GeoMean([]float64{1, 4}), 2) {
-		t.Error("geomean of {1,4} should be 2")
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("geomean with zero should be 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("geomean of empty should be 0")
-	}
-}
-
 func TestHarmonicMean(t *testing.T) {
 	// HM of {1, 1/3} = 2 / (1 + 3) = 0.5.
 	if !almost(HarmonicMean([]float64{1, 1.0 / 3}), 0.5) {
@@ -52,34 +40,13 @@ func TestHarmonicMean(t *testing.T) {
 	}
 }
 
-func TestHarmonicLeqGeoLeqArith(t *testing.T) {
+func TestHarmonicLeqArith(t *testing.T) {
 	f := func(a, b, c uint16) bool {
 		xs := []float64{float64(a) + 1, float64(b) + 1, float64(c) + 1}
-		h, g, m := HarmonicMean(xs), GeoMean(xs), Mean(xs)
-		return h <= g+1e-9 && g <= m+1e-9
+		return HarmonicMean(xs) <= Mean(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if !almost(Percentile(xs, 0), 1) {
-		t.Error("p0 should be min")
-	}
-	if !almost(Percentile(xs, 1), 4) {
-		t.Error("p100 should be max")
-	}
-	if !almost(Percentile(xs, 0.5), 2.5) {
-		t.Error("median of 1..4 should be 2.5")
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Error("percentile of empty should be 0")
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Percentile mutated its input")
 	}
 }
 
@@ -153,21 +120,5 @@ func TestWindowSampling(t *testing.T) {
 	}
 	if d = w.Sample(); d != (Counters{}) {
 		t.Fatalf("idle sample should be zero: %v", d)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Append(100, 1.5)
-	s.Append(200, 2.5)
-	if s.Len() != 2 {
-		t.Fatal("len wrong")
-	}
-	c, v := s.At(1)
-	if c != 200 || v != 2.5 {
-		t.Fatal("At wrong")
-	}
-	if !almost(s.MeanValue(), 2.0) {
-		t.Fatal("MeanValue wrong")
 	}
 }
