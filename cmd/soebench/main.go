@@ -1,7 +1,9 @@
 // soebench runs the standing benchmark suite under both execution
-// engines (idle fast-forward and the cycle-by-cycle reference), taking
-// the median of -iters runs per cell, writes a BENCH_<n>.json report,
-// and optionally gates on a committed baseline: the per-scenario
+// engines (idle fast-forward and the cycle-by-cycle reference) in
+// -iters rounds that run the two engines back to back, alternating
+// which goes first, and takes each scenario's speedup as the median of
+// the per-round ratios. It writes a BENCH_<n>.json report and
+// optionally gates on a committed baseline: the per-scenario
 // fast-forward speedup ratios must not regress by more than
 // -tolerance. -baseline accepts either a report file or a directory,
 // which resolves to its newest BENCH_<n>.json.

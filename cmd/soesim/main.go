@@ -33,7 +33,6 @@ import (
 	"soemt/internal/core"
 	"soemt/internal/experiments"
 	"soemt/internal/obs"
-	"soemt/internal/perf"
 	"soemt/internal/pipeline"
 	"soemt/internal/sim"
 	"soemt/internal/stats"
@@ -65,7 +64,6 @@ func main() {
 		stallCap   = flag.Uint64("stall-cycles", 0, "abort a run making no forward progress for this many cycles (0 = default watchdog)")
 		cycleRef   = flag.Bool("cycle-by-cycle", false, "disable the idle fast-forward and execute every cycle (reference engine)")
 		pprofOut   = flag.String("pprof", "", "write a CPU profile of the simulation to this file")
-		benchDir   = flag.String("bench-json", "", "record run wall-time, cycles/sec and allocations to BENCH_<n>.json in this directory (bypass -cache-dir when benchmarking)")
 		traceOut   = flag.String("trace-events", "", "write a Chrome trace_event JSON of the run to this file (open in chrome://tracing or Perfetto); forces a fresh simulation, bypassing the result cache")
 		traceCSV   = flag.String("trace-csv", "", "write the raw controller event stream as CSV to this file; forces a fresh simulation, bypassing the result cache")
 		obsMetrics = flag.Bool("obs-metrics", false, "dump the observability metrics registry (switch causes, skip cycles, pipeline and cache counters) to stderr on exit")
@@ -161,37 +159,12 @@ func main() {
 			spec.Obs = &obs.Observer{Trace: tracer, Metrics: s.Cache.Observability()}
 		}
 		var res *sim.Result
-		run := func() (uint64, uint64, error) {
-			var r *sim.Result
-			var err error
-			if tracing {
-				r, err = sim.RunContext(s.Ctx, spec)
-			} else {
-				r, err = s.Cache.RunSpecContext(s.Ctx, spec)
-			}
-			if err != nil {
-				return 0, 0, err
-			}
-			res = r
-			var instrs uint64
-			for _, th := range r.Threads {
-				instrs += th.Counters.Instrs
-			}
-			return r.WallCycles, instrs, nil
+		if tracing {
+			res, err = sim.RunContext(s.Ctx, spec)
+		} else {
+			res, err = s.Cache.RunSpecContext(s.Ctx, spec)
 		}
-		if *benchDir != "" {
-			report := perf.NewReport(rf.Scale)
-			entry, err := perf.Measure(*threadsArg, spec.Engine, run)
-			if err != nil {
-				return err
-			}
-			report.Add(entry)
-			path, err := report.WriteNumbered(*benchDir)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "soesim: wrote %s (%.3fs, %.0f cycles/s)\n", path, entry.Seconds, entry.CyclesPerSec)
-		} else if _, _, err := run(); err != nil {
+		if err != nil {
 			return err
 		}
 		if res.Truncated {

@@ -1,7 +1,6 @@
 // Package branch implements the branch-prediction structures of the
 // simulated core: two-bit bimodal tables, a gshare predictor, a
-// tournament combination, a branch target buffer, and a return address
-// stack.
+// tournament combination, and a branch target buffer.
 //
 // As in the paper's machine (Section 4.1), predictor state is shared
 // between SOE threads and is NOT flushed on a thread switch — sharing
@@ -194,61 +193,24 @@ func (b *BTB) Insert(pc, target uint64) {
 	b.valid[i] = true
 }
 
-// RAS is a circular return-address stack.
-type RAS struct {
-	stack []uint64
-	top   int
-	depth int
-}
-
-// NewRAS creates a return-address stack with the given capacity
-// (minimum 1).
-func NewRAS(capacity int) *RAS {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RAS{stack: make([]uint64, capacity)}
-}
-
-// Push records a return address (on a call).
-func (r *RAS) Push(addr uint64) {
-	r.top = (r.top + 1) % len(r.stack)
-	r.stack[r.top] = addr
-	if r.depth < len(r.stack) {
-		r.depth++
-	}
-}
-
-// Pop predicts the return address (on a return). ok is false when the
-// stack is empty.
-func (r *RAS) Pop() (addr uint64, ok bool) {
-	if r.depth == 0 {
-		return 0, false
-	}
-	addr = r.stack[r.top]
-	r.top = (r.top - 1 + len(r.stack)) % len(r.stack)
-	r.depth--
-	return addr, true
-}
-
-// Unit bundles the direction predictor, BTB and RAS into the front-end
+// Unit bundles the direction predictor and BTB into the front-end
 // branch unit used by the pipeline, and tracks accuracy statistics.
 type Unit struct {
 	Dir *Tournament
 	BTB *BTB
-	RAS *RAS
 
 	Lookups     uint64 // conditional-branch predictions made
 	Mispredicts uint64 // direction mispredictions
 }
 
 // NewUnit builds the default branch unit: a tournament direction
-// predictor, BTB and RAS sized per DESIGN.md.
+// predictor and BTB sized per DESIGN.md. rasDepth is ignored: the
+// synthetic ISA has no call or return, so the unit has no
+// return-address stack (pipeline.Config.RASDepth is an inert value).
 func NewUnit(entries, btbEntries, rasDepth int, historyBits uint) *Unit {
 	return &Unit{
 		Dir: NewTournament(entries, historyBits),
 		BTB: NewBTB(btbEntries),
-		RAS: NewRAS(rasDepth),
 	}
 }
 
@@ -270,15 +232,13 @@ func (u *Unit) Resolve(pc uint64, predicted, taken bool, target uint64) {
 	}
 }
 
-// CopyFrom overwrites u's predictor tables, BTB, RAS and statistics
-// with src's. Both units must be built by NewUnit with the same sizes.
+// CopyFrom overwrites u's predictor tables, BTB and statistics with
+// src's. Both units must be built by NewUnit with the same sizes.
 func (u *Unit) CopyFrom(src *Unit) {
 	u.Dir.copyFrom(src.Dir)
 	copy(u.BTB.tags, src.BTB.tags)
 	copy(u.BTB.targets, src.BTB.targets)
 	copy(u.BTB.valid, src.BTB.valid)
-	copy(u.RAS.stack, src.RAS.stack)
-	u.RAS.top, u.RAS.depth = src.RAS.top, src.RAS.depth
 	u.Lookups, u.Mispredicts = src.Lookups, src.Mispredicts
 }
 

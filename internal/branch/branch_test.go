@@ -138,38 +138,6 @@ func TestBTB(t *testing.T) {
 	}
 }
 
-func TestRASLIFO(t *testing.T) {
-	r := NewRAS(8)
-	if _, ok := r.Pop(); ok {
-		t.Error("empty RAS must not pop")
-	}
-	r.Push(1)
-	r.Push(2)
-	r.Push(3)
-	for want := uint64(3); want >= 1; want-- {
-		got, ok := r.Pop()
-		if !ok || got != want {
-			t.Fatalf("pop = %d,%v want %d", got, ok, want)
-		}
-	}
-}
-
-func TestRASOverflowWraps(t *testing.T) {
-	r := NewRAS(2)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3) // overwrites oldest
-	if v, ok := r.Pop(); !ok || v != 3 {
-		t.Fatalf("pop = %d, want 3", v)
-	}
-	if v, ok := r.Pop(); !ok || v != 2 {
-		t.Fatalf("pop = %d, want 2", v)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Error("RAS deeper than capacity")
-	}
-}
-
 func TestUnitAccuracyTracking(t *testing.T) {
 	u := NewUnit(1024, 256, 8, 10)
 	pc := uint64(0x500)

@@ -36,9 +36,13 @@ func victimProfile() workload.Profile {
 }
 
 func newMachine() *pipeline.Pipeline {
+	hier, err := mem.NewHierarchyIn(nil, mem.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
 	pcfg := pipeline.DefaultConfig()
 	bu := branch.NewUnit(pcfg.BranchEntries, pcfg.BTBEntries, pcfg.RASDepth, pcfg.HistoryBits)
-	pipe, err := pipeline.New(pcfg, mem.MustNewHierarchy(mem.DefaultConfig()), bu)
+	pipe, err := pipeline.New(pcfg, hier, bu)
 	if err != nil {
 		panic(err)
 	}

@@ -1,9 +1,9 @@
 // Package mem implements the simulated memory hierarchy: set-
 // associative write-back caches with LRU replacement, miss status
 // holding registers (MSHRs) that coalesce outstanding misses by line,
-// instruction/data TLBs with hardware page walks, a pipelined front-
-// side bus, and a constant-latency memory (the paper uses 300 cycles,
-// i.e. 75ns at 4GHz).
+// instruction/data TLBs (caches whose lines are pages) with hardware
+// page walks, a pipelined front-side bus, and a constant-latency
+// memory (the paper uses 300 cycles, i.e. 75ns at 4GHz).
 //
 // Timing model: an access computes its completion cycle immediately
 // ("functional-first" timing). The hierarchy tracks bus occupancy and
@@ -54,58 +54,57 @@ type cacheLine struct {
 	lastUsed   uint64 // LRU timestamp
 }
 
-// Cache is a set-associative write-back, write-allocate cache.
-// It models tags and replacement only; no data is stored.
+// Cache is a set-associative write-back, write-allocate cache with LRU
+// replacement. It models tags and replacement only; no data is stored.
+// A TLB is a Cache whose lines are pages (see NewTLBIn).
 type Cache struct {
-	cfg      CacheConfig
 	sets     [][]cacheLine
 	setMask  uint64
 	lineBits uint
+	latency  uint64 // hit latency in cycles
 	clock    uint64 // monotonic use counter for LRU
 	Stats    CacheStats
 	lines    []cacheLine // the backing array sets are carved from
 }
 
-// NewCache builds a cache from cfg. Invalid geometry (see
+// NewCacheIn builds a cache whose tag arrays are carved from a (nil =
+// plain heap allocation; see internal/arena). Invalid geometry (see
 // CacheConfig.Validate) is a configuration error and is returned, not
 // panicked, so bad CLI flags and sweep values surface cleanly.
-func NewCache(cfg CacheConfig) (*Cache, error) {
-	return NewCacheIn(nil, cfg)
-}
-
-// NewCacheIn builds a cache whose tag arrays are carved from a (nil =
-// plain heap allocation; see internal/arena).
 func NewCacheIn(a *arena.Arena, cfg CacheConfig) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nSets := cfg.Sets()
+	return newCache(a, cfg.Sets(), cfg.Ways, cfg.LineSize, cfg.Latency), nil
+}
+
+// newCache carves a cache of nSets sets of ways lineSize-byte lines
+// from a. The geometry must be valid.
+func newCache(a *arena.Arena, nSets, ways, lineSize, latency int) *Cache {
 	sets := arena.Slice[[]cacheLine](a, nSets)
-	lines := arena.Slice[cacheLine](a, nSets*cfg.Ways)
+	lines := arena.Slice[cacheLine](a, nSets*ways)
 	for i, rest := 0, lines; i < nSets; i++ {
-		sets[i], rest = rest[:cfg.Ways:cfg.Ways], rest[cfg.Ways:]
+		sets[i], rest = rest[:ways:ways], rest[ways:]
 	}
 	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineSize {
+	for 1<<lineBits < lineSize {
 		lineBits++
 	}
 	return &Cache{
-		cfg:      cfg,
 		sets:     sets,
 		lines:    lines,
 		setMask:  uint64(nSets - 1),
 		lineBits: lineBits,
-	}, nil
+		latency:  uint64(latency),
+	}
 }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }
 
 func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.lineBits) & c.setMask }
 
+// tag returns addr's line number (a TLB's virtual page number).
 func (c *Cache) tag(addr uint64) uint64 { return addr >> c.lineBits }
 
 // Lookup probes the cache for addr, updating LRU state and statistics.

@@ -14,11 +14,11 @@ func smallCache() *Cache {
 
 func TestCacheGeometry(t *testing.T) {
 	c := smallCache()
-	if c.Config().Lines() != 64 {
-		t.Fatalf("lines = %d, want 64", c.Config().Lines())
+	if len(c.lines) != 64 {
+		t.Fatalf("lines = %d, want 64", len(c.lines))
 	}
-	if c.Config().Sets() != 16 {
-		t.Fatalf("sets = %d, want 16", c.Config().Sets())
+	if len(c.sets) != 16 {
+		t.Fatalf("sets = %d, want 16", len(c.sets))
 	}
 }
 
@@ -34,7 +34,7 @@ func TestCacheErrorsOnBadGeometry(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, cfg)
 		}
-		if c, err := NewCache(cfg); err == nil || c != nil {
+		if c, err := NewCacheIn(nil, cfg); err == nil || c != nil {
 			t.Errorf("case %d: expected error for %+v, got (%v, %v)", i, cfg, c, err)
 		}
 	}
@@ -142,7 +142,7 @@ func TestCacheWorkingSetFits(t *testing.T) {
 	// A working set equal to capacity must self-stabilize: after one
 	// pass, every line hits.
 	c := smallCache()
-	lines := c.Config().Lines()
+	lines := len(c.lines)
 	for i := 0; i < lines; i++ {
 		if !c.Lookup(uint64(i*64), false) {
 			c.Fill(uint64(i*64), false)

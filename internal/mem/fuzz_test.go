@@ -26,9 +26,9 @@ func FuzzCacheConfigValidate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		c, err := NewCache(cfg)
+		c, err := NewCacheIn(nil, cfg)
 		if err != nil || c == nil {
-			t.Fatalf("Validate accepted %+v but NewCache failed: %v", cfg, err)
+			t.Fatalf("Validate accepted %+v but NewCacheIn failed: %v", cfg, err)
 		}
 	})
 }
@@ -48,9 +48,9 @@ func FuzzTLBConfigValidate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tlb, err := NewTLB(cfg)
+		tlb, err := NewTLBIn(nil, cfg)
 		if err != nil || tlb == nil {
-			t.Fatalf("Validate accepted %+v but NewTLB failed: %v", cfg, err)
+			t.Fatalf("Validate accepted %+v but NewTLBIn failed: %v", cfg, err)
 		}
 	})
 }
@@ -69,9 +69,9 @@ func FuzzHierarchyConfigValidate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		h, err := NewHierarchy(cfg)
+		h, err := NewHierarchyIn(nil, cfg)
 		if err != nil || h == nil {
-			t.Fatalf("Validate accepted config but NewHierarchy failed: %v", err)
+			t.Fatalf("Validate accepted config but NewHierarchyIn failed: %v", err)
 		}
 	})
 }

@@ -3,15 +3,15 @@ package mem
 // Test constructors for configurations the tests know to be valid.
 
 func mustCache(cfg CacheConfig) *Cache {
-	c, err := NewCache(cfg)
+	c, err := NewCacheIn(nil, cfg)
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
 
-func mustTLB(cfg TLBConfig) *TLB {
-	t, err := NewTLB(cfg)
+func mustTLB(cfg TLBConfig) *Cache {
+	t, err := NewTLBIn(nil, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -19,5 +19,9 @@ func mustTLB(cfg TLBConfig) *TLB {
 }
 
 func mustHierarchy(cfg HierarchyConfig) *Hierarchy {
-	return MustNewHierarchy(cfg)
+	h, err := NewHierarchyIn(nil, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }

@@ -78,6 +78,10 @@ func (r AccessResult) Latency(now uint64) uint64 {
 // distinct L2 lines from program data.
 const pageTableBase = uint64(1) << 46
 
+// mshr is one miss status holding register: a fill of line that
+// completes at cycle ready.
+type mshr struct{ line, ready uint64 }
+
 // Hierarchy owns all memory-side structures. It is shared between SOE
 // threads: per the paper, caches, TLBs and predictor state are NOT
 // flushed on thread switches.
@@ -86,127 +90,105 @@ type Hierarchy struct {
 	L1I  *Cache
 	L1D  *Cache
 	L2   *Cache
-	ITLB *TLB
-	DTLB *TLB
+	ITLB *Cache
+	DTLB *Cache
 	Bus  Bus
 
-	// MSHR: line address -> cycle at which the fill completes.
-	outstanding map[uint64]uint64
+	// mshrs holds the outstanding line fills in a table of cfg.MSHRs
+	// slots. A completed fill stays until the next reap.
+	mshrs []mshr
 
 	Stats HierarchyStats
 }
 
-// NewHierarchy builds the hierarchy from cfg. Invalid configuration
-// (see HierarchyConfig.Validate) is returned as an error, not
-// panicked, so bad CLI flags and sweep values surface cleanly.
-func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	return NewHierarchyIn(nil, cfg)
-}
-
-// NewHierarchyIn builds a hierarchy whose cache and TLB arrays are
-// carved from a (nil = plain heap allocation). With a recycled arena
-// the construction allocates only the structure headers and the MSHR
-// map, so repeated runs (sweeps, equivalence matrices) stop churning
-// the multi-megabyte tag arrays through the garbage collector.
+// NewHierarchyIn builds a hierarchy whose cache, TLB and MSHR arrays
+// are carved from a (nil = plain heap allocation). With a recycled
+// arena the construction allocates only the structure headers, so
+// repeated runs (sweeps, equivalence matrices) stop churning the
+// multi-megabyte tag arrays through the garbage collector. Invalid
+// configuration (see HierarchyConfig.Validate) is returned as an
+// error, not panicked, so bad CLI flags and sweep values surface
+// cleanly.
 func NewHierarchyIn(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l1i, err := NewCacheIn(a, cfg.L1I)
-	if err != nil {
-		return nil, err
-	}
-	l1d, err := NewCacheIn(a, cfg.L1D)
-	if err != nil {
-		return nil, err
-	}
-	l2, err := NewCacheIn(a, cfg.L2)
-	if err != nil {
-		return nil, err
-	}
-	itlb, err := NewTLBIn(a, cfg.ITLB)
-	if err != nil {
-		return nil, err
-	}
-	dtlb, err := NewTLBIn(a, cfg.DTLB)
-	if err != nil {
-		return nil, err
-	}
-	h := &Hierarchy{
-		cfg:         cfg,
-		L1I:         l1i,
-		L1D:         l1d,
-		L2:          l2,
-		ITLB:        itlb,
-		DTLB:        dtlb,
-		Bus:         Bus{Occupancy: cfg.BusOccupancy},
-		outstanding: make(map[uint64]uint64),
-	}
-	return h, nil
+	// Validate has checked every geometry, so these cannot fail.
+	l1i, _ := NewCacheIn(a, cfg.L1I)
+	l1d, _ := NewCacheIn(a, cfg.L1D)
+	l2, _ := NewCacheIn(a, cfg.L2)
+	itlb, _ := NewTLBIn(a, cfg.ITLB)
+	dtlb, _ := NewTLBIn(a, cfg.DTLB)
+	return &Hierarchy{
+		cfg: cfg, L1I: l1i, L1D: l1d, L2: l2, ITLB: itlb, DTLB: dtlb,
+		Bus:   Bus{Occupancy: cfg.BusOccupancy},
+		mshrs: arena.Slice[mshr](a, cfg.MSHRs)[:0],
+	}, nil
 }
 
-// MustNewHierarchy builds the hierarchy from a configuration known to
-// be valid (e.g. DefaultConfig), panicking otherwise. Intended for
-// tests and static configurations.
-func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	h, err := NewHierarchy(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return h
+// structures lists the hierarchy's caches and TLBs.
+func (h *Hierarchy) structures() [5]*Cache {
+	return [5]*Cache{h.L1I, h.L1D, h.L2, h.ITLB, h.DTLB}
 }
-
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
 // reap drops completed fills from the MSHR table.
 func (h *Hierarchy) reap(now uint64) {
-	for line, ready := range h.outstanding {
-		if ready <= now {
-			delete(h.outstanding, line)
+	live := h.mshrs[:0]
+	for _, m := range h.mshrs {
+		if m.ready > now {
+			live = append(live, m)
 		}
 	}
+	h.mshrs = live
+}
+
+// outstanding returns the completion cycle of the MSHR entry for line,
+// completed but unreaped entries included.
+func (h *Hierarchy) outstanding(line uint64) (uint64, bool) {
+	for _, m := range h.mshrs {
+		if m.line == line {
+			return m.ready, true
+		}
+	}
+	return 0, false
 }
 
 // OutstandingFills returns the number of in-flight line fills at now.
 func (h *Hierarchy) OutstandingFills(now uint64) int {
 	h.reap(now)
-	return len(h.outstanding)
+	return len(h.mshrs)
 }
 
 // fillFromMemory starts (or joins) a memory fill for the L2 line
 // containing addr and returns the completion cycle plus whether the
-// request coalesced into an existing fill.
+// request coalesced into an existing fill. The table never overflows:
+// a full table reaps at least its earliest fill before the insert, and
+// the prefetcher checks for a free slot first.
 func (h *Hierarchy) fillFromMemory(now uint64, addr uint64) (ready uint64, coalesced bool) {
 	line := h.L2.LineAddr(addr)
 	h.reap(now)
-	if r, ok := h.outstanding[line]; ok {
+	if r, ok := h.outstanding(line); ok {
 		h.Stats.Coalesced++
 		return r, true
 	}
 	start := now
-	if len(h.outstanding) >= h.cfg.MSHRs {
+	if len(h.mshrs) >= h.cfg.MSHRs {
 		// All MSHRs busy: the new miss waits for the earliest
 		// outstanding fill to retire its register.
 		h.Stats.MSHRFullStalls++
-		earliest := uint64(0)
-		first := true
-		for _, r := range h.outstanding {
-			if first || r < earliest {
-				earliest, first = r, false
-			}
+		earliest := h.mshrs[0].ready
+		for _, m := range h.mshrs[1:] {
+			earliest = min(earliest, m.ready)
 		}
-		if earliest > start {
-			start = earliest
-		}
+		start = max(start, earliest)
 		h.reap(start)
 	}
 	grant := h.Bus.Acquire(start)
 	ready = grant + uint64(h.cfg.MemLatency)
-	h.outstanding[line] = ready
+	h.mshrs = append(h.mshrs, mshr{line, ready})
 	h.Stats.L2MissesDemand++
 	// Install the line now; timing is carried by the MSHR entry.
-	h.installL2(addr)
+	h.installL2(addr, false)
 	h.prefetchAfter(start, line)
 	return ready, false
 }
@@ -217,43 +199,31 @@ func (h *Hierarchy) fillFromMemory(now uint64, addr uint64) (ready uint64, coale
 func (h *Hierarchy) prefetchAfter(now uint64, line uint64) {
 	for i := 1; i <= h.cfg.PrefetchDegree; i++ {
 		next := line + uint64(i*h.cfg.L2.LineSize)
-		if len(h.outstanding) >= h.cfg.MSHRs {
+		if len(h.mshrs) >= h.cfg.MSHRs {
 			return
 		}
-		if _, busy := h.outstanding[next]; busy || h.L2.Probe(next) {
+		if _, busy := h.outstanding(next); busy || h.L2.Probe(next) {
 			continue
 		}
 		grant := h.Bus.Acquire(now)
-		h.outstanding[next] = grant + uint64(h.cfg.MemLatency)
+		h.mshrs = append(h.mshrs, mshr{next, grant + uint64(h.cfg.MemLatency)})
 		h.Stats.Prefetches++
-		if evicted, dirty, evAddr := h.L2.FillTagged(next, false, true); evicted {
-			// Inclusive hierarchy: L2 evictions drop L1 copies.
-			h.L1D.Invalidate(evAddr)
-			h.L1I.Invalidate(evAddr)
-			if dirty {
-				h.Bus.Acquire(0)
-			}
+		h.installL2(next, true)
+	}
+}
+
+// installL2 fills the line containing addr into L2, marked as
+// prefetched or not. The hierarchy is inclusive, so the victim's L1
+// copies are dropped; a dirty victim's writeback occupies a bus slot
+// but does not delay the fill (posted write).
+func (h *Hierarchy) installL2(addr uint64, prefetched bool) {
+	if evicted, dirty, victim := h.L2.FillTagged(addr, false, prefetched); evicted {
+		h.L1D.Invalidate(victim)
+		h.L1I.Invalidate(victim)
+		if dirty {
+			h.Bus.Acquire(0)
 		}
 	}
-}
-
-// installL2 fills a line into L2, sending any dirty victim to the bus.
-func (h *Hierarchy) installL2(addr uint64) {
-	if _, dirty, _ := h.fillWithVictim(h.L2, addr, false); dirty {
-		// Dirty writeback occupies a bus slot but does not delay the
-		// demand fill (posted write).
-		h.Bus.Acquire(0)
-	}
-}
-
-func (h *Hierarchy) fillWithVictim(c *Cache, addr uint64, dirty bool) (bool, bool, uint64) {
-	evicted, evDirty, evAddr := c.Fill(addr, dirty)
-	if c == h.L2 && evicted {
-		// Inclusive hierarchy: L2 eviction invalidates L1 copies.
-		h.L1D.Invalidate(evAddr)
-		h.L1I.Invalidate(evAddr)
-	}
-	return evicted, evDirty, evAddr
 }
 
 // pendingFill reports whether the L2 line containing addr has a fill
@@ -261,50 +231,28 @@ func (h *Hierarchy) fillWithVictim(c *Cache, addr uint64, dirty bool) (bool, boo
 // on such lines must wait for the data to arrive (they coalesce into
 // the fill — the paper's overlapped-miss case).
 func (h *Hierarchy) pendingFill(after uint64, addr uint64) (uint64, bool) {
-	if r, ok := h.outstanding[h.L2.LineAddr(addr)]; ok && r > after {
+	if r, ok := h.outstanding(h.L2.LineAddr(addr)); ok && r > after {
 		return r, true
 	}
 	return 0, false
 }
 
 // AccessData performs a data-side access (load or store data fill).
-// It models: L1D lookup, on miss an L2 lookup, on miss a memory fill
-// with MSHR coalescing. Returns timing and miss classification.
 func (h *Hierarchy) AccessData(now uint64, addr uint64, write bool) AccessResult {
-	res := AccessResult{DoneAt: now + uint64(h.cfg.L1D.Latency)}
-	if h.L1D.Lookup(addr, write) {
-		if ready, ok := h.pendingFill(res.DoneAt, addr); ok {
-			res.DoneAt = ready
-			res.L1Miss, res.L2Miss, res.Coalesced = true, true, true
-			h.Stats.Coalesced++
-		}
-		return res
-	}
-	res.L1Miss = true
-	l2At := res.DoneAt // L2 probed after L1 miss detection
-	l2Done := l2At + uint64(h.cfg.L2.Latency)
-	if h.L2.Lookup(addr, false) {
-		res.DoneAt = l2Done
-		if ready, ok := h.pendingFill(l2Done, addr); ok {
-			res.DoneAt = ready
-			res.L2Miss, res.Coalesced = true, true
-			h.Stats.Coalesced++
-		}
-		h.fillWithVictim(h.L1D, addr, write)
-		return res
-	}
-	ready, coalesced := h.fillFromMemory(l2Done, addr)
-	res.DoneAt = ready
-	res.L2Miss = true
-	res.Coalesced = coalesced
-	h.fillWithVictim(h.L1D, addr, write)
-	return res
+	return h.access(now, h.L1D, addr, write)
 }
 
 // AccessFetch performs an instruction-side access through L1I.
 func (h *Hierarchy) AccessFetch(now uint64, addr uint64) AccessResult {
-	res := AccessResult{DoneAt: now + uint64(h.cfg.L1I.Latency)}
-	if h.L1I.Lookup(addr, false) {
+	return h.access(now, h.L1I, addr, false)
+}
+
+// access models one access through l1: the l1 lookup, on a miss an L2
+// lookup, on a miss a memory fill with MSHR coalescing; a miss fills
+// l1. Returns timing and miss classification.
+func (h *Hierarchy) access(now uint64, l1 *Cache, addr uint64, write bool) AccessResult {
+	res := AccessResult{DoneAt: now + l1.latency}
+	if l1.Lookup(addr, write) {
 		if ready, ok := h.pendingFill(res.DoneAt, addr); ok {
 			res.DoneAt = ready
 			res.L1Miss, res.L2Miss, res.Coalesced = true, true, true
@@ -313,7 +261,7 @@ func (h *Hierarchy) AccessFetch(now uint64, addr uint64) AccessResult {
 		return res
 	}
 	res.L1Miss = true
-	l2Done := res.DoneAt + uint64(h.cfg.L2.Latency)
+	l2Done := res.DoneAt + uint64(h.cfg.L2.Latency) // L2 probed after L1 miss detection
 	if h.L2.Lookup(addr, false) {
 		res.DoneAt = l2Done
 		if ready, ok := h.pendingFill(l2Done, addr); ok {
@@ -321,14 +269,11 @@ func (h *Hierarchy) AccessFetch(now uint64, addr uint64) AccessResult {
 			res.L2Miss, res.Coalesced = true, true
 			h.Stats.Coalesced++
 		}
-		h.fillWithVictim(h.L1I, addr, false)
-		return res
+	} else {
+		res.DoneAt, res.Coalesced = h.fillFromMemory(l2Done, addr)
+		res.L2Miss = true
 	}
-	ready, coalesced := h.fillFromMemory(l2Done, addr)
-	res.DoneAt = ready
-	res.L2Miss = true
-	res.Coalesced = coalesced
-	h.fillWithVictim(h.L1I, addr, false)
+	l1.Fill(addr, write)
 	return res
 }
 
@@ -342,12 +287,12 @@ type WalkResult struct {
 // translate performs a TLB lookup with hardware walk on miss. The walk
 // reads the page-table entry through the L2 (two levels; the upper
 // level is assumed cached, matching common simplifications).
-func (h *Hierarchy) translate(now uint64, tlb *TLB, addr uint64) WalkResult {
-	if tlb.Lookup(addr) {
+func (h *Hierarchy) translate(now uint64, tlb *Cache, addr uint64) WalkResult {
+	if tlb.Lookup(addr, false) {
 		return WalkResult{DoneAt: now + 1}
 	}
 	h.Stats.PageWalks++
-	pteAddr := pageTableBase + tlb.VPN(addr)*8
+	pteAddr := pageTableBase + tlb.tag(addr)*8
 	res := WalkResult{Walked: true}
 	walkDone := now + uint64(h.cfg.L2.Latency)
 	if !h.L2.Lookup(pteAddr, false) {
@@ -357,7 +302,7 @@ func (h *Hierarchy) translate(now uint64, tlb *TLB, addr uint64) WalkResult {
 		h.Stats.WalkL2Misses++
 	}
 	res.DoneAt = walkDone
-	tlb.Fill(addr)
+	tlb.Fill(addr, false)
 	return res
 }
 
@@ -373,13 +318,10 @@ func (h *Hierarchy) TranslateFetch(now uint64, addr uint64) WalkResult {
 
 // Reset restores the hierarchy to cold state.
 func (h *Hierarchy) Reset() {
-	h.L1I.Reset()
-	h.L1D.Reset()
-	h.L2.Reset()
-	h.ITLB.Reset()
-	h.DTLB.Reset()
-	h.Bus.Reset()
-	h.outstanding = make(map[uint64]uint64)
+	for _, c := range h.structures() {
+		c.Reset()
+	}
+	h.ResetTiming()
 	h.Stats = HierarchyStats{}
 }
 
@@ -389,7 +331,7 @@ func (h *Hierarchy) Reset() {
 // timed run.
 func (h *Hierarchy) ResetTiming() {
 	h.Bus.Reset()
-	h.outstanding = make(map[uint64]uint64)
+	h.mshrs = h.mshrs[:0]
 }
 
 // CopyFrom overwrites h's whole state with src's: cache and TLB
@@ -398,27 +340,21 @@ func (h *Hierarchy) ResetTiming() {
 // memory layer's part of copying a machine (a sibling run restoring
 // another run's warmed state).
 func (h *Hierarchy) CopyFrom(src *Hierarchy) {
-	h.L1I.CopyFrom(src.L1I)
-	h.L1D.CopyFrom(src.L1D)
-	h.L2.CopyFrom(src.L2)
-	h.ITLB.CopyFrom(src.ITLB)
-	h.DTLB.CopyFrom(src.DTLB)
-	h.Bus = src.Bus
-	clear(h.outstanding)
-	for line, ready := range src.outstanding {
-		h.outstanding[line] = ready
+	dst, from := h.structures(), src.structures()
+	for i := range dst {
+		dst[i].CopyFrom(from[i])
 	}
+	h.Bus = src.Bus
+	h.mshrs = append(h.mshrs[:0], src.mshrs...)
 	h.Stats = src.Stats
 }
 
 // ResetStats clears statistics but keeps cache/TLB contents (end of
 // warmup).
 func (h *Hierarchy) ResetStats() {
-	h.L1I.ResetStats()
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
-	h.ITLB.ResetStats()
-	h.DTLB.ResetStats()
+	for _, c := range h.structures() {
+		c.ResetStats()
+	}
 	h.Stats = HierarchyStats{}
 	h.Bus.Transfers = 0
 }

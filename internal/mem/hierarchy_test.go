@@ -229,7 +229,7 @@ func TestHierarchyErrorsOnBadConfig(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted bad config", m.name)
 		}
-		if h, err := NewHierarchy(cfg); err == nil || h != nil {
+		if h, err := NewHierarchyIn(nil, cfg); err == nil || h != nil {
 			t.Errorf("%s: expected error, got (%v, %v)", m.name, h, err)
 		}
 	}
@@ -284,8 +284,8 @@ func TestHierarchyTimingMonotonicProperty(t *testing.T) {
 func TestDefaultConfigGeometry(t *testing.T) {
 	cfg := DefaultConfig()
 	h := mustHierarchy(cfg) // must not panic
-	if h.L2.Config().Lines() != 32768 {
-		t.Fatalf("L2 lines = %d", h.L2.Config().Lines())
+	if len(h.L2.lines) != 32768 {
+		t.Fatalf("L2 lines = %d", len(h.L2.lines))
 	}
 	if cfg.MemLatency != 300 {
 		t.Fatal("paper requires 300-cycle memory")
@@ -360,5 +360,32 @@ func TestPrefetcherReducesStreamingMisses(t *testing.T) {
 	on := run(4)
 	if on >= off/2 {
 		t.Errorf("prefetcher ineffective on stream: %d demand misses vs %d without", on, off)
+	}
+}
+
+// TestHierarchyTimingAllocFree pins that a built hierarchy allocates
+// nothing per run: resetting its timing state, then a demand miss that
+// also issues a prefetch fill, a hit that coalesces into the in-flight
+// fill and a miss that waits for a free MSHR must not touch the heap.
+func TestHierarchyTimingAllocFree(t *testing.T) {
+	cfg := testConfig()
+	cfg.MSHRs = 2
+	cfg.PrefetchDegree = 1
+	h := mustHierarchy(cfg)
+	base := uint64(0)
+	allocs := testing.AllocsPerRun(50, func() {
+		base += 1 << 16 // fresh lines every run
+		h.ResetTiming()
+		h.AccessData(0, base, false)         // miss plus one prefetch: both MSHRs busy
+		h.AccessData(1, base, false)         // L1 hit on the in-flight line
+		h.AccessData(2, base+(1<<12), false) // waits for the earliest fill
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per run, want 0", allocs)
+	}
+	const runs = 51 // AllocsPerRun adds one warm-up call
+	s := h.Stats
+	if s.L2MissesDemand != 2*runs || s.Prefetches != runs || s.Coalesced != runs || s.MSHRFullStalls != runs {
+		t.Fatalf("stats %+v do not show %d of each event", s, runs)
 	}
 }

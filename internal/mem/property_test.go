@@ -87,8 +87,8 @@ func TestTLBFillThenHitProperty(t *testing.T) {
 	s := rng.NewStream(5)
 	for i := 0; i < 20000; i++ {
 		addr := uint64(s.Intn(1 << 26))
-		tb.Fill(addr)
-		if !tb.Lookup(addr) {
+		tb.Fill(addr, false)
+		if !tb.Lookup(addr, false) {
 			t.Fatalf("fill not visible at step %d", i)
 		}
 	}

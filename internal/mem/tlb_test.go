@@ -2,23 +2,23 @@ package mem
 
 import "testing"
 
-func smallTLB() *TLB {
+func smallTLB() *Cache {
 	return mustTLB(TLBConfig{Name: "t", Entries: 16, Ways: 4, PageSize: 4096})
 }
 
 func TestTLBMissThenHit(t *testing.T) {
 	tb := smallTLB()
-	if tb.Lookup(0x1234) {
+	if tb.Lookup(0x1234, false) {
 		t.Fatal("cold TLB must miss")
 	}
-	tb.Fill(0x1234)
-	if !tb.Lookup(0x1234) {
+	tb.Fill(0x1234, false)
+	if !tb.Lookup(0x1234, false) {
 		t.Fatal("filled translation must hit")
 	}
-	if !tb.Lookup(0x1fff) {
+	if !tb.Lookup(0x1fff, false) {
 		t.Fatal("same page must hit")
 	}
-	if tb.Lookup(0x2000) {
+	if tb.Lookup(0x2000, false) {
 		t.Fatal("next page must miss")
 	}
 	if tb.Stats.Accesses != 4 || tb.Stats.Misses != 2 {
@@ -30,38 +30,38 @@ func TestTLBLRU(t *testing.T) {
 	tb := smallTLB() // 4 sets, 4 ways; pages in same set: stride 4 pages
 	pg := func(i uint64) uint64 { return i * 4 * 4096 }
 	for i := uint64(0); i < 4; i++ {
-		tb.Fill(pg(i))
+		tb.Fill(pg(i), false)
 	}
-	tb.Lookup(pg(0)) // refresh
-	tb.Fill(pg(4))   // evicts pg(1)
-	if !tb.Lookup(pg(0)) {
+	tb.Lookup(pg(0), false) // refresh
+	tb.Fill(pg(4), false)   // evicts pg(1)
+	if !tb.Lookup(pg(0), false) {
 		t.Error("refreshed entry evicted")
 	}
-	if tb.Lookup(pg(1)) {
+	if tb.Lookup(pg(1), false) {
 		t.Error("LRU entry not evicted")
 	}
 }
 
 func TestTLBFillIdempotent(t *testing.T) {
 	tb := smallTLB()
-	tb.Fill(0x9000)
-	tb.Fill(0x9000)
-	tb.Fill(0x9000)
+	tb.Fill(0x9000, false)
+	tb.Fill(0x9000, false)
+	tb.Fill(0x9000, false)
 	// Only one way should be consumed: three more fills to the same set
 	// must not evict it.
-	tb.Fill(0x9000 + 4*4096)
-	tb.Fill(0x9000 + 8*4096)
-	tb.Fill(0x9000 + 12*4096)
-	if !tb.Lookup(0x9000) {
+	tb.Fill(0x9000+4*4096, false)
+	tb.Fill(0x9000+8*4096, false)
+	tb.Fill(0x9000+12*4096, false)
+	if !tb.Lookup(0x9000, false) {
 		t.Fatal("duplicate fills consumed multiple ways")
 	}
 }
 
 func TestTLBReset(t *testing.T) {
 	tb := smallTLB()
-	tb.Fill(0x4000)
+	tb.Fill(0x4000, false)
 	tb.Reset()
-	if tb.Lookup(0x4000) {
+	if tb.Lookup(0x4000, false) {
 		t.Fatal("entry survives reset")
 	}
 	tb.ResetStats()
@@ -70,13 +70,15 @@ func TestTLBReset(t *testing.T) {
 	}
 }
 
+// TestTLBVPN checks that a TLB's line number, which the page walk
+// takes as the virtual page number, counts pages.
 func TestTLBVPN(t *testing.T) {
 	tb := smallTLB()
-	if tb.VPN(0x1fff) != 1 {
-		t.Fatalf("VPN(0x1fff) = %d", tb.VPN(0x1fff))
+	if tb.tag(0x1fff) != 1 {
+		t.Fatalf("VPN(0x1fff) = %d", tb.tag(0x1fff))
 	}
-	if tb.VPN(0x2000) != 2 {
-		t.Fatalf("VPN(0x2000) = %d", tb.VPN(0x2000))
+	if tb.tag(0x2000) != 2 {
+		t.Fatalf("VPN(0x2000) = %d", tb.tag(0x2000))
 	}
 }
 
@@ -91,14 +93,14 @@ func TestTLBErrorsOnBadGeometry(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, cfg)
 		}
-		if tb, err := NewTLB(cfg); err == nil || tb != nil {
+		if tb, err := NewTLBIn(nil, cfg); err == nil || tb != nil {
 			t.Errorf("case %d: expected error, got (%v, %v)", i, tb, err)
 		}
 	}
 }
 
 func TestTLBMissRateZero(t *testing.T) {
-	var s TLBStats
+	var s CacheStats
 	if s.MissRate() != 0 {
 		t.Fatal("zero-access miss rate should be 0")
 	}

@@ -12,6 +12,8 @@
 package perf
 
 import (
+	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -20,6 +22,8 @@ import (
 	"runtime"
 	"sort"
 	"time"
+
+	"soemt/internal/sim"
 )
 
 // Entry is one timed simulation run.
@@ -47,17 +51,18 @@ type Report struct {
 	Entries   []Entry `json:"entries"`
 
 	// Speedups maps scenario name to the fast-forward wall-clock
-	// speedup over the cycle-by-cycle reference (ref seconds / ff
-	// seconds). Present only for scenarios run under both engines.
+	// speedup over the cycle-by-cycle reference: the median over
+	// paired rounds of ref seconds / ff seconds (see RunSuite).
 	Speedups map[string]float64 `json:"speedups,omitempty"`
 
 	// ObsOverhead maps scenario name to the wall-time ratio of a fully
 	// observed run (event tracer + metrics registry attached) over the
-	// same run with observability detached, best-of-N both sides. The
-	// detached run IS the production configuration, so this ratio bounds
-	// what DESIGN.md §10's "≤2% when disabled" budget actually buys:
-	// the disabled cost (one nil check per event site) cannot exceed
-	// the full enabled cost measured here.
+	// same run with observability detached, the median over paired
+	// rounds (see MeasureObsOverhead). The detached run IS the
+	// production configuration, so this ratio bounds what DESIGN.md
+	// §10's "≤2% when disabled" budget actually buys: the disabled cost
+	// (one nil check per event site) cannot exceed the full enabled
+	// cost measured here.
 	ObsOverhead map[string]float64 `json:"obs_overhead,omitempty"`
 }
 
@@ -130,51 +135,58 @@ func Measure(scenario, engine string, fn func() (cycles, instrs uint64, err erro
 	return e, nil
 }
 
-// MeasureN runs Measure iters times and returns the median-by-wall-time
-// entry. Single timed runs on a shared host swing by double-digit
-// percentages; the median of three or more is stable enough to gate
-// on. iters < 1 is treated as 1.
-func MeasureN(scenario, engine string, iters int, fn func() (cycles, instrs uint64, err error)) (Entry, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	entries := make([]Entry, 0, iters)
-	for i := 0; i < iters; i++ {
-		e, err := Measure(scenario, engine, fn)
+// measureSpec times one simulation of spec, recorded under scenario
+// and engine (or arm).
+func measureSpec(ctx context.Context, scenario, engine string, spec sim.Spec) (Entry, error) {
+	return Measure(scenario, engine, func() (uint64, uint64, error) {
+		res, err := sim.RunContext(ctx, spec)
 		if err != nil {
-			return Entry{}, err
+			return 0, 0, err
 		}
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Seconds < entries[j].Seconds })
-	return entries[len(entries)/2], nil
+		var instrs uint64
+		for _, th := range res.Threads {
+			instrs += th.Counters.Instrs
+		}
+		// SimCycles is the measured window only; warmup cycles are
+		// simulated too but not reported, so cycles/sec is a
+		// consistent (conservative) throughput metric.
+		return res.WallCycles, instrs, nil
+	})
 }
 
-// Add appends an entry and refreshes the scenario's fast-forward
-// speedup against the cycle-by-cycle reference once both engines have
-// an entry; the ratio is keyed by the bare scenario name.
-func (r *Report) Add(e Entry) {
-	r.Entries = append(r.Entries, e)
-	var ff, ref *Entry
-	for i := range r.Entries {
-		en := &r.Entries[i]
-		if en.Scenario != e.Scenario {
-			continue
+// bySeconds orders entries by wall time.
+func bySeconds(a, b Entry) int { return cmp.Compare(a.Seconds, b.Seconds) }
+
+// pairedRounds times two arms in rounds of back-to-back runs, the arm
+// that goes first alternating from round to round, and returns the
+// median over rounds of arms[0]'s wall time divided by arms[1]'s, plus
+// each arm's entries in round order. Pairing the arms within a round
+// means a host that changes speed, or load from other processes, moves
+// both sides of a ratio alike.
+func pairedRounds(ctx context.Context, rounds int, arms [2]string, measure func(arm string) (Entry, error)) (float64, [2][]Entry, error) {
+	var runs [2][]Entry
+	ratios := make([]float64, 0, rounds)
+	for round := 0; round < rounds; round++ {
+		for _, i := range [2]int{round % 2, 1 - round%2} {
+			if err := ctx.Err(); err != nil {
+				return 0, runs, err
+			}
+			e, err := measure(arms[i])
+			if err != nil {
+				return 0, runs, err
+			}
+			runs[i] = append(runs[i], e)
 		}
-		switch en.Engine {
-		case "fast-forward":
-			ff = en
-		case "cycle-by-cycle":
-			ref = en
+		if runs[1][round].Seconds <= 0 {
+			// A ~0s wall time would make the ratio +Inf/NaN, which
+			// encoding/json refuses to marshal — the whole report write
+			// would fail long after the measurement ran.
+			return 0, runs, fmt.Errorf("perf: %s run measured no wall time; ratio undefined", arms[1])
 		}
+		ratios = append(ratios, runs[0][round].Seconds/runs[1][round].Seconds)
 	}
-	if ref == nil || ff == nil || ff.Seconds <= 0 {
-		return
-	}
-	if r.Speedups == nil {
-		r.Speedups = map[string]float64{}
-	}
-	r.Speedups[e.Scenario] = ref.Seconds / ff.Seconds
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2], runs, nil
 }
 
 // WriteNumbered writes the report to the first free BENCH_<n>.json in

@@ -1,12 +1,15 @@
 package perf
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"soemt/internal/sim"
 )
 
 // TestMemDeltaClampsWrap pins the MemStats delta clamp: a counter that
@@ -70,34 +73,6 @@ func TestMeasureSurvivesMidRunGC(t *testing.T) {
 	}
 }
 
-// TestMeasureNTakesMedian runs a deliberately bimodal timing workload
-// and asserts the reported entry is neither the fastest nor the
-// slowest run.
-func TestMeasureNTakesMedian(t *testing.T) {
-	calls := 0
-	e, err := MeasureN("median", "cycle-by-cycle", 3, func() (uint64, uint64, error) {
-		calls++
-		return uint64(calls), 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("MeasureN ran fn %d times, want 3", calls)
-	}
-	// The median entry is one of the three runs; its cycle count
-	// identifies which. All three wall times are ~equal, so any index
-	// is acceptable — what matters is a single entry came back intact.
-	if e.SimCycles < 1 || e.SimCycles > 3 {
-		t.Fatalf("median entry cycles = %d, want 1..3", e.SimCycles)
-	}
-	if _, err := MeasureN("median", "cycle-by-cycle", 0, func() (uint64, uint64, error) {
-		return 1, 1, nil
-	}); err != nil {
-		t.Fatalf("iters<1 should degrade to 1 run: %v", err)
-	}
-}
-
 // TestResolveBaseline pins the directory resolution rule: newest
 // (highest-numbered) BENCH_<n>.json wins, including n >= 10; plain
 // files pass through; an empty directory errors.
@@ -129,28 +104,69 @@ func TestResolveBaseline(t *testing.T) {
 	}
 }
 
-func addRun(t *testing.T, r *Report, scenario, engine string, secs float64) {
-	t.Helper()
-	r.Add(Entry{Scenario: scenario, Engine: engine, Seconds: secs, SimCycles: 1000})
+// withSpeedup records a scenario's two engine entries and its
+// reference/fast-forward speedup, as RunSuite does.
+func withSpeedup(r *Report, scenario string, refSecs, ffSecs float64) {
+	r.Entries = append(r.Entries,
+		Entry{Scenario: scenario, Engine: "cycle-by-cycle", Seconds: refSecs, SimCycles: 1000},
+		Entry{Scenario: scenario, Engine: "fast-forward", Seconds: ffSecs, SimCycles: 1000})
+	r.Speedups[scenario] = refSecs / ffSecs
 }
 
+// TestSpeedupDerivation pins how paired rounds derive a ratio: the two
+// arms run back to back, the first arm alternating, and the result is
+// the median of the per-round arms[0]/arms[1] ratios (3 here), not the
+// ratio of the per-arm medians (4/2).
 func TestSpeedupDerivation(t *testing.T) {
-	r := NewReport("tiny")
-	addRun(t, r, "pair", "cycle-by-cycle", 3.0)
-	if len(r.Speedups) != 0 {
-		t.Fatalf("speedup derived from a single engine: %v", r.Speedups)
+	secs := map[string][]float64{"ref": {3, 8, 4}, "ff": {1, 2, 4}} // ratios 3, 4, 1
+	var order []string
+	measure := func(arm string) (Entry, error) {
+		s := secs[arm][0]
+		secs[arm] = secs[arm][1:]
+		order = append(order, arm)
+		return Entry{Engine: arm, Seconds: s}, nil
 	}
-	addRun(t, r, "pair", "fast-forward", 1.0)
-	if got := r.Speedups["pair"]; got != 3.0 {
-		t.Fatalf("speedup = %v, want 3.0", got)
+	ratio, runs, err := pairedRounds(context.Background(), 3, [2]string{"ref", "ff"}, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio != 3 {
+		t.Fatalf("speedup = %v, want the median per-round ratio 3", ratio)
+	}
+	if got := strings.Join(order, " "); got != "ref ff ff ref ref ff" {
+		t.Fatalf("run order %q does not alternate the first arm", got)
+	}
+	if len(runs[0]) != 3 || len(runs[1]) != 3 || runs[0][1].Seconds != 8 || runs[1][2].Seconds != 4 {
+		t.Fatalf("entries not kept per arm in round order: %+v", runs)
+	}
+	zero := func(arm string) (Entry, error) { return Entry{Engine: arm}, nil }
+	if _, _, err := pairedRounds(context.Background(), 1, [2]string{"ref", "ff"}, zero); err == nil {
+		t.Fatal("a zero wall time in the denominator arm gave a ratio")
+	}
+}
+
+// TestRunSuitePairsEngines runs one scenario at a tiny scale with
+// iters < 1, which means one paired round: the report gets one entry
+// per engine, reference first, and the scenario's speedup.
+func TestRunSuitePairsEngines(t *testing.T) {
+	scale := sim.Scale{CacheWarm: 2_000, Warm: 1_000, Measure: 4_000, MaxCycles: 1_000_000}
+	r := NewReport("test")
+	var lines []string
+	if err := RunSuite(context.Background(), r, DefaultSuite(scale)[:1], 0, func(l string) { lines = append(lines, l) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Entries) != 2 || r.Entries[0].Engine != Engines[0] || r.Entries[1].Engine != Engines[1] {
+		t.Fatalf("entries = %+v, want one per engine in Engines order", r.Entries)
+	}
+	if sp := r.Speedups[r.Entries[0].Scenario]; sp <= 0 || len(lines) != 3 {
+		t.Fatalf("speedup %v, %d progress lines; want a positive speedup and 3 lines", sp, len(lines))
 	}
 }
 
 func TestWriteNumberedAndLoadRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bench") // exercise MkdirAll
 	r := NewReport("tiny")
-	addRun(t, r, "pair", "cycle-by-cycle", 2.0)
-	addRun(t, r, "pair", "fast-forward", 1.0)
+	withSpeedup(r, "pair", 2.0, 1.0)
 
 	p1, err := r.WriteNumbered(dir)
 	if err != nil {
@@ -181,19 +197,16 @@ func TestWriteNumberedAndLoadRoundTrip(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	base := NewReport("tiny")
-	addRun(t, base, "pair", "cycle-by-cycle", 4.0)
-	addRun(t, base, "pair", "fast-forward", 1.0) // 4.0x baseline
+	withSpeedup(base, "pair", 4.0, 1.0) // 4.0x baseline
 
 	ok := NewReport("tiny")
-	addRun(t, ok, "pair", "cycle-by-cycle", 3.5)
-	addRun(t, ok, "pair", "fast-forward", 1.0) // 3.5x: within 20%
+	withSpeedup(ok, "pair", 3.5, 1.0) // 3.5x: within 20%
 	if err := Compare(ok, base, 0.20); err != nil {
 		t.Fatalf("within-tolerance report rejected: %v", err)
 	}
 
 	bad := NewReport("tiny")
-	addRun(t, bad, "pair", "cycle-by-cycle", 2.0)
-	addRun(t, bad, "pair", "fast-forward", 1.0) // 2.0x: regressed
+	withSpeedup(bad, "pair", 2.0, 1.0) // 2.0x: regressed
 	err := Compare(bad, base, 0.20)
 	if err == nil || !strings.Contains(err.Error(), "pair") {
 		t.Fatalf("regression not reported: %v", err)
@@ -201,8 +214,7 @@ func TestCompare(t *testing.T) {
 
 	// A disjoint suite must not silently pass.
 	other := NewReport("tiny")
-	addRun(t, other, "elsewhere", "cycle-by-cycle", 1.0)
-	addRun(t, other, "elsewhere", "fast-forward", 1.0)
+	withSpeedup(other, "elsewhere", 1.0, 1.0)
 	if err := Compare(other, base, 0.20); err == nil {
 		t.Fatal("empty scenario intersection passed the gate")
 	}

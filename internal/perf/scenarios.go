@@ -3,6 +3,7 @@ package perf
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"soemt/internal/core"
 	"soemt/internal/pipeline"
@@ -20,7 +21,7 @@ type Scenario struct {
 // Engines lists the execution engines the suite benchmarks, reference
 // first. The names are sim.Spec.Engine values and appear verbatim in
 // report entries.
-var Engines = []string{"cycle-by-cycle", "fast-forward"}
+var Engines = [2]string{"cycle-by-cycle", "fast-forward"}
 
 // DefaultSuite returns the standing benchmark scenarios at the given
 // scale. The mix is deliberate: miss-heavy workloads are where the
@@ -70,42 +71,40 @@ func DefaultSuite(scale sim.Scale) []Scenario {
 	}
 }
 
-// RunSuite benchmarks every scenario under every engine, appending the
-// median-of-iters entries (and derived speedups) to the report.
-// progress, if non-nil, receives a line per completed measurement.
+// RunSuite benchmarks every scenario under both engines in iters
+// paired rounds (see pairedRounds). A scenario's speedup is the median
+// of the per-round reference/fast-forward wall-time ratios; each
+// engine's median-time run is appended to the report as its entry.
+// progress, if non-nil, receives a line per engine entry and per
+// speedup.
 func RunSuite(ctx context.Context, r *Report, scenarios []Scenario, iters int, progress func(string)) error {
+	if iters < 1 {
+		iters = 1
+	}
+	if r.Speedups == nil {
+		r.Speedups = map[string]float64{}
+	}
 	for _, sc := range scenarios {
-		for _, engine := range Engines {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		speedup, runs, err := pairedRounds(ctx, iters, Engines, func(engine string) (Entry, error) {
 			spec := sc.Spec
 			spec.Engine = engine
-			e, err := MeasureN(sc.Name, engine, iters, func() (uint64, uint64, error) {
-				res, err := sim.RunContext(ctx, spec)
-				if err != nil {
-					return 0, 0, err
-				}
-				var instrs uint64
-				for _, th := range res.Threads {
-					instrs += th.Counters.Instrs
-				}
-				// SimCycles is the measured window only; warmup cycles are
-				// simulated too but not reported, so cycles/sec is a
-				// consistent (conservative) throughput metric.
-				return res.WallCycles, instrs, nil
-			})
-			if err != nil {
-				return err
-			}
-			r.Add(e)
+			return measureSpec(ctx, sc.Name, engine, spec)
+		})
+		if err != nil {
+			return err
+		}
+		for _, es := range runs {
+			slices.SortFunc(es, bySeconds)
+			e := es[len(es)/2]
+			r.Entries = append(r.Entries, e)
 			if progress != nil {
 				progress(fmt.Sprintf("%-28s %-14s %8.3fs  %12.0f cyc/s  %10d allocs",
 					e.Scenario, e.Engine, e.Seconds, e.CyclesPerSec, e.AllocObjects))
 			}
 		}
+		r.Speedups[sc.Name] = speedup
 		if progress != nil {
-			progress(fmt.Sprintf("%-28s speedup ff %.2fx", sc.Name, r.Speedups[sc.Name]))
+			progress(fmt.Sprintf("%-28s speedup ff %.2fx (median of %d paired rounds)", sc.Name, speedup, iters))
 		}
 	}
 	return nil

@@ -36,7 +36,7 @@ type Config struct {
 
 	BranchEntries int  // direction predictor table entries
 	BTBEntries    int  // branch target buffer entries
-	RASDepth      int  // return address stack depth
+	RASDepth      int  // inert Table 3 value: the ISA has no call or return, so no stack is built
 	HistoryBits   uint // gshare history length
 }
 

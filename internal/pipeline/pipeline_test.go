@@ -11,8 +11,10 @@ import (
 
 // testMachine builds a pipeline with a small memory hierarchy.
 func testMachine() *Pipeline {
-	hcfg := mem.DefaultConfig()
-	h := mem.MustNewHierarchy(hcfg)
+	h, err := mem.NewHierarchyIn(nil, mem.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
 	cfg := DefaultConfig()
 	bu := branch.NewUnit(cfg.BranchEntries, cfg.BTBEntries, cfg.RASDepth, cfg.HistoryBits)
 	p, err := New(cfg, h, bu)

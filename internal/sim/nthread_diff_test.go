@@ -131,21 +131,30 @@ func runCellHashes(t *testing.T, spec Spec) goldenCell {
 	return cell
 }
 
+// seedGoldenComment heads testdata/seed_golden.json.
+const seedGoldenComment = "Seed-engine result digests for the N-thread differential suite; regenerate with SOEMT_REGEN_GOLDEN=1 go test ./internal/sim -run TestNThreadSeedDifferential"
+
 // TestNThreadSeedDifferential recomputes every cell on both engines and
 // compares against the committed seed digests.
 func TestNThreadSeedDifferential(t *testing.T) {
-	cells := diffCells()
+	verifyGolden(t, seedGoldenPath, seedGoldenComment, diffCells())
+}
+
+// verifyGolden recomputes every cell on both engines and compares the
+// digests with the golden file at path. With SOEMT_REGEN_GOLDEN set it
+// rewrites the file, headed by comment, instead.
+func verifyGolden(t *testing.T, path, comment string, cells map[string]Spec) {
 	if os.Getenv("SOEMT_REGEN_GOLDEN") != "" {
-		regenSeedGolden(t, cells)
+		regenGolden(t, path, comment, cells)
 		return
 	}
-	raw, err := os.ReadFile(seedGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing %s (regenerate with SOEMT_REGEN_GOLDEN=1): %v", seedGoldenPath, err)
+		t.Fatalf("missing %s (regenerate with SOEMT_REGEN_GOLDEN=1): %v", path, err)
 	}
 	var golden goldenFile
 	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatalf("parse %s: %v", seedGoldenPath, err)
+		t.Fatalf("parse %s: %v", path, err)
 	}
 	if golden.Scale != diffScale() {
 		t.Fatalf("golden scale %+v does not match diffScale %+v; regenerate", golden.Scale, diffScale())
@@ -159,28 +168,28 @@ func TestNThreadSeedDifferential(t *testing.T) {
 			t.Parallel()
 			want, ok := golden.Cells[name]
 			if !ok {
-				t.Fatalf("cell %q missing from %s; regenerate", name, seedGoldenPath)
+				t.Fatalf("cell %q missing from %s; regenerate", name, path)
 			}
 			got := runCellHashes(t, spec)
 			if got.Fingerprint != want.Fingerprint {
-				t.Errorf("spec fingerprint moved: %s, seed %s — cached results and BENCH baselines would be abandoned",
+				t.Errorf("spec fingerprint moved: %s, golden %s — cached results and BENCH baselines would be abandoned",
 					got.Fingerprint, want.Fingerprint)
 			}
 			if got.FastForward != want.FastForward {
-				t.Errorf("fast-forward result diverged from the seed engine: %s, seed %s",
+				t.Errorf("fast-forward result diverged from the golden digest: %s, golden %s",
 					got.FastForward, want.FastForward)
 			}
 			if got.CycleByCyle != want.CycleByCyle {
-				t.Errorf("cycle-by-cycle result diverged from the seed engine: %s, seed %s",
+				t.Errorf("cycle-by-cycle result diverged from the golden digest: %s, golden %s",
 					got.CycleByCyle, want.CycleByCyle)
 			}
 		})
 	}
 }
 
-func regenSeedGolden(t *testing.T, cells map[string]Spec) {
+func regenGolden(t *testing.T, path, comment string, cells map[string]Spec) {
 	golden := goldenFile{
-		Comment: "Seed-engine result digests for the N-thread differential suite; regenerate with SOEMT_REGEN_GOLDEN=1 go test ./internal/sim -run TestNThreadSeedDifferential",
+		Comment: comment,
 		Scale:   diffScale(),
 		Cells:   make(map[string]goldenCell, len(cells)),
 	}
@@ -197,11 +206,11 @@ func regenSeedGolden(t *testing.T, cells map[string]Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Dir(seedGoldenPath), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(seedGoldenPath, append(out, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (%d cells)", seedGoldenPath, len(cells))
+	t.Logf("wrote %s (%d cells)", path, len(cells))
 }

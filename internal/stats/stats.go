@@ -65,17 +65,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // MinPairRatio is the N-thread fairness metric (paper Eq. 4,
 // generalized): the minimum over all thread pairs (j, k) of the ratio
 // speedup_j / speedup_k. Because every pairwise ratio lo/hi with

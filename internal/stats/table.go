@@ -42,9 +42,6 @@ func (t *Table) AddRowf(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // WriteTo renders the table. It always returns the byte count written
 // and the first write error, satisfying io.WriterTo.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {

@@ -23,8 +23,8 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(lines[3], "2.000") {
 		t.Errorf("float formatting: %q", lines[3])
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 
