@@ -18,8 +18,13 @@ BASELINE=ci/coverage_baseline.txt
 MAX_DROP=1.0
 
 profile=$(mktemp)
-trap 'rm -f "$profile"' EXIT
-go test -short -count=1 -coverprofile="$profile" ./... >/dev/null
+log=$(mktemp)
+trap 'rm -f "$profile" "$log"' EXIT
+if ! go test -short -count=1 -coverprofile="$profile" ./... 2>&1 | tee "$log"; then
+    echo "coverage_ratchet: FAIL — go test failed:" >&2
+    grep -E '^[[:space:]]*(--- FAIL|FAIL|panic:)' "$log" >&2 || true
+    exit 1
+fi
 
 total=$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 if [ -z "$total" ]; then

@@ -151,19 +151,17 @@ func main() {
 		}
 		spec.Watchdog.StallCycles = *stallCap
 		// A live tracer requires an actual simulation: cache hits skip the
-		// run and record nothing, so tracing runs go straight to the engine.
+		// run and record nothing, so tracing runs take the cache's fresh
+		// path, which still counts the run in -metrics.
 		tracing := *traceOut != "" || *traceCSV != ""
 		var tracer *obs.Tracer
+		run := s.Cache.RunSpecContext
 		if tracing {
 			tracer = obs.NewTracer(0)
 			spec.Obs = &obs.Observer{Trace: tracer, Metrics: s.Cache.Observability()}
+			run = s.Cache.RunSpecFresh
 		}
-		var res *sim.Result
-		if tracing {
-			res, err = sim.RunContext(s.Ctx, spec)
-		} else {
-			res, err = s.Cache.RunSpecContext(s.Ctx, spec)
-		}
+		res, err := run(s.Ctx, spec)
 		if err != nil {
 			return err
 		}
@@ -295,14 +293,14 @@ func writeTraces(tracer *obs.Tracer, specs []sim.ThreadSpec, jsonPath, csvPath s
 	}
 	if jsonPath != "" {
 		if err := write(jsonPath, func(f *os.File) error {
-			return obs.WriteChromeTraceMeta(f, events, meta)
+			return obs.WriteChromeTrace(f, events, meta)
 		}); err != nil {
 			return err
 		}
 	}
 	if csvPath != "" {
 		if err := write(csvPath, func(f *os.File) error {
-			return obs.WriteCSVMeta(f, events, meta)
+			return obs.WriteCSV(f, events, meta)
 		}); err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,15 +38,22 @@ func TestMain(m *testing.M) {
 // a non-zero exit fails the test.
 func soesim(t *testing.T, args ...string) []byte {
 	t.Helper()
+	out, _ := soesimStreams(t, args...)
+	return out
+}
+
+// soesimStreams is soesim that also returns stderr.
+func soesimStreams(t *testing.T, args ...string) (stdout, stderr []byte) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], append([]string{"--"}, args...)...)
 	cmd.Env = append(os.Environ(), "SOESIM_TEST_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("soesim %s: %v\nstderr:\n%s", strings.Join(args, " "), err, stderr.String())
+		t.Fatalf("soesim %s: %v\nstderr:\n%s", strings.Join(args, " "), err, errb.String())
 	}
-	return out
+	return out, errb.Bytes()
 }
 
 func TestDumpSamplesOneColumnGroupPerThread(t *testing.T) {
@@ -76,6 +84,19 @@ func TestDumpSamplesOneColumnGroupPerThread(t *testing.T) {
 	want := []string{"cycle", "estST0", "winIPC0", "quota0", "estST1", "winIPC1", "quota1"}
 	if got := strings.Fields(b.String()); !reflect.DeepEqual(got[:len(want)], want) {
 		t.Fatalf("two-thread header = %q, want %q", got, want)
+	}
+}
+
+// A traced run is a run: -metrics counts it as it counts an untraced
+// one, although it bypasses the result cache.
+func TestTracedRunCountedInMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation in a subprocess")
+	}
+	trace := filepath.Join(t.TempDir(), "t.json")
+	_, stderr := soesimStreams(t, "-threads", "gcc,eon", "-F", "1", "-scale", "tiny", "-metrics", "-trace-events", trace)
+	if !strings.Contains(string(stderr), " runs=1/1 ") {
+		t.Fatalf("traced run missing from the -metrics line:\n%s", stderr)
 	}
 }
 

@@ -194,7 +194,7 @@ func TestGshareRandomStreamNearChance(t *testing.T) {
 	const n = 50000
 	for i := 0; i < n; i++ {
 		pc := uint64(0x100 + s.Intn(64)*4)
-		taken := s.Float64() < 0.5
+		taken := s.Uint64()>>63 == 0 // a fair coin
 		if g.Predict(pc) != taken {
 			wrong++
 		}

@@ -228,15 +228,8 @@ func (c *Cluster) logf(format string, args ...interface{}) {
 // Self returns this process's own URL ("" for pure clients).
 func (c *Cluster) Self() string { return c.cfg.Self }
 
-// Nodes returns the configured members in ring order.
-func (c *Cluster) Nodes() []string { return c.ring.Nodes() }
-
 // Owner returns the node owning key on the ring.
 func (c *Cluster) Owner(key string) string { return c.ring.Owner(key) }
-
-// Preference returns key's deterministic failover sequence (owner
-// first), ignoring health — see Candidates for the filtered view.
-func (c *Cluster) Preference(key string) []string { return c.ring.Preference(key) }
 
 // Candidates returns key's preference list filtered for routing: dead
 // nodes are dropped, and healthy nodes are tried before suspect ones
@@ -538,31 +531,4 @@ func (c *Cluster) publishHealthGauges() {
 	c.healthyG.Set(h)
 	c.suspectG.Set(s)
 	c.deadG.Set(d)
-}
-
-// MarkHealth force-sets a node's health (tests and operational
-// overrides).
-func (c *Cluster) MarkHealth(url string, h Health) {
-	n := c.node(url)
-	if n == nil {
-		return
-	}
-	n.mu.Lock()
-	n.health = h
-	if h == Healthy {
-		n.probeFail = 0
-		n.lastErr = ""
-	}
-	n.mu.Unlock()
-	c.publishHealthGauges()
-}
-
-// Breaker exposes a node's breaker (nil for unknown nodes); the proxy
-// uses it to derive deterministic Retry-After values when shedding.
-func (c *Cluster) Breaker(url string) *Breaker {
-	n := c.node(url)
-	if n == nil {
-		return nil
-	}
-	return n.breaker
 }

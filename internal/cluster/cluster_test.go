@@ -69,21 +69,21 @@ func TestCandidatesExcludeDeadAndPreferHealthy(t *testing.T) {
 	nodes := []string{"http://n1", "http://n2", "http://n3"}
 	c := testCluster(t, Config{Nodes: nodes})
 	key := "somekey"
-	pref := c.Preference(key)
+	pref := c.ring.Preference(key)
 
 	if got := c.Candidates(key); len(got) != 3 || got[0] != pref[0] {
 		t.Fatalf("all-healthy candidates = %v, want full preference %v", got, pref)
 	}
 
 	// The owner going dead promotes the deterministic successor.
-	c.MarkHealth(pref[0], Dead)
+	setHealth(c, pref[0], Dead)
 	got := c.Candidates(key)
 	if len(got) != 2 || got[0] != pref[1] {
 		t.Fatalf("candidates with dead owner = %v, want [%s %s]", got, pref[1], pref[2])
 	}
 
 	// A suspect node is still routable, but after healthy ones.
-	c.MarkHealth(pref[0], Suspect)
+	setHealth(c, pref[0], Suspect)
 	got = c.Candidates(key)
 	if len(got) != 3 || got[0] != pref[1] || got[2] != pref[0] {
 		t.Fatalf("candidates with suspect owner = %v, want suspect owner demoted to last", got)
@@ -135,7 +135,7 @@ func TestRoundTripBreakerLifecycle(t *testing.T) {
 	if open.RetryAfter <= 0 {
 		t.Fatalf("ErrBreakerOpen.RetryAfter = %s, want > 0", open.RetryAfter)
 	}
-	if st, _ := c.Breaker(ts.URL).State(); st != BreakerOpen {
+	if st, _ := c.node(ts.URL).breaker.State(); st != BreakerOpen {
 		t.Fatalf("breaker state = %s, want open", st)
 	}
 
@@ -154,7 +154,7 @@ func TestRoundTripBreakerLifecycle(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st, _ := c.Breaker(ts.URL).State(); st != BreakerClosed {
+	if st, _ := c.node(ts.URL).breaker.State(); st != BreakerClosed {
 		t.Fatalf("breaker state after recovery = %s, want closed", st)
 	}
 }
@@ -172,7 +172,7 @@ func TestRoundTrip429SeedsBackoffWithRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	st, rem := c.Breaker(ts.URL).State()
+	st, rem := c.node(ts.URL).breaker.State()
 	if st != BreakerOpen {
 		t.Fatalf("breaker after 429 (TripAfter=1) = %s, want open", st)
 	}
@@ -190,10 +190,10 @@ func TestSnapshotExportsBreakerAndHealth(t *testing.T) {
 		Nodes:    []string{"http://n1", "http://n2"},
 		Registry: reg,
 	})
-	c.MarkHealth("http://n2", Dead)
-	c.Breaker("http://n2").Failure(0)
-	c.Breaker("http://n2").Failure(0)
-	c.Breaker("http://n2").Failure(0)
+	setHealth(c, "http://n2", Dead)
+	c.node("http://n2").breaker.Failure(0)
+	c.node("http://n2").breaker.Failure(0)
+	c.node("http://n2").breaker.Failure(0)
 
 	snap := c.Snapshot()
 	if len(snap) != 2 {
@@ -225,4 +225,13 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{Self: "http://me", Nodes: []string{"http://other"}}); err == nil {
 		t.Fatal("self outside the node list accepted")
 	}
+}
+
+// setHealth force-sets a node's health, as a run of probes would.
+func setHealth(c *Cluster, url string, h Health) {
+	n := c.node(url)
+	n.mu.Lock()
+	n.health = h
+	n.mu.Unlock()
+	c.publishHealthGauges()
 }

@@ -59,12 +59,17 @@ func (e *ConfigError) Error() string {
 }
 
 // Validate reports controller configuration errors: a missing policy,
-// a zero drain (the switch mechanism needs a positive pipeline-drain
-// cost), a negative assumed miss latency, or a smoothing factor
-// outside [0, 1].
+// a policy that implements both Granter and Culler (the controller
+// never combines grant ordering with culling), a zero drain (the
+// switch mechanism needs a positive pipeline-drain cost), a negative
+// assumed miss latency, or a smoothing factor outside [0, 1].
 func (c Config) Validate() error {
 	if c.Policy == nil {
 		return &ConfigError{"Policy", "must be set (EventOnly, Fairness, TimeShare)"}
+	}
+	_, grants := c.Policy.(Granter)
+	if _, culls := c.Policy.(Culler); grants && culls {
+		return &ConfigError{"Policy", "must not implement both Granter and Culler"}
 	}
 	if c.DrainCycles == 0 {
 		return &ConfigError{"DrainCycles", "must be positive"}
@@ -120,12 +125,6 @@ func (t *Thread) AvgVisitInstrs() float64 {
 // Counters returns the thread's accumulated hardware counters since
 // the last stats reset.
 func (t *Thread) Counters() stats.Counters { return t.counters.Totals }
-
-// Retired returns instructions retired since the last stats reset.
-func (t *Thread) Retired() uint64 { return t.retired }
-
-// Quota returns the thread's current IPSw quota (0 = none).
-func (t *Thread) Quota() float64 { return t.quota }
 
 // SwitchStats counts thread switches by cause.
 type SwitchStats struct {
@@ -352,9 +351,6 @@ func (c *Controller) Now() uint64 { return c.now }
 // flush sample); 0 when sampling is off (Delta == 0).
 func (c *Controller) NextSampleAt() uint64 { return c.nextSampleAt }
 
-// CyclesSinceReset returns cycles elapsed since the last stats reset.
-func (c *Controller) CyclesSinceReset() uint64 { return c.now - c.resetAt }
-
 // Threads returns the thread contexts.
 func (c *Controller) Threads() []*Thread { return c.threads }
 
@@ -364,19 +360,10 @@ func (c *Controller) Switches() SwitchStats { return c.switches }
 // Samples returns the Δ sampling records since the last stats reset.
 func (c *Controller) Samples() []Sample { return c.samples }
 
-// Truncated reports whether the most recent Run stopped at its
+// Truncated reports whether Advance stopped the measurement at its
 // maxCycles cap before every thread reached its retirement target.
 // Cleared by ResetStats.
 func (c *Controller) Truncated() bool { return c.truncated }
-
-// Current returns the index of the running thread.
-func (c *Controller) Current() int { return c.cur }
-
-// Active returns a copy of the dispatch-eligibility mask. All-true
-// unless the policy implements Culler and has demoted threads.
-func (c *Controller) Active() []bool {
-	return append([]bool(nil), c.active...)
-}
 
 // hasOtherActive reports whether any thread besides the running one is
 // dispatch-eligible — the precondition for any thread switch. Always
@@ -499,24 +486,12 @@ func (c *Controller) ResetStats() {
 	c.pipe.Hierarchy().ResetStats()
 }
 
-// Run advances the machine until every thread has retired at least
-// target instructions since the last stats reset, or maxCycles have
-// elapsed (0 = no limit). It returns the number of cycles executed.
-func (c *Controller) Run(target uint64, maxCycles uint64) uint64 {
-	start := c.now
-	c.truncated = false
-	for !c.Advance(target, maxCycles, start, 1<<20) {
-	}
-	return c.now - start
-}
-
 // Advance runs at most budget cycles of the measurement that began at
 // absolute cycle start, and reports whether the run is complete:
 // either every thread reached its retirement target, or maxCycles
 // elapsed since start (0 = no limit), which also marks the run
-// truncated. Callers that need cancellation or watchdog checks loop
-// over Advance with a small budget (see sim.RunContext); Run is the
-// uninterruptible wrapper.
+// truncated. Callers loop over Advance with a small budget and check
+// cancellation and the watchdog between slices (see sim.RunContext).
 func (c *Controller) Advance(target, maxCycles, start, budget uint64) bool {
 	for spent := uint64(0); ; {
 		done := true
@@ -667,13 +642,6 @@ func (c *Controller) TotalRetired() uint64 {
 		sum += t.retired
 	}
 	return sum
-}
-
-// RunCycles advances the machine by exactly n cycles.
-func (c *Controller) RunCycles(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		c.Step()
-	}
 }
 
 // Step advances the machine by one cycle.
@@ -867,7 +835,7 @@ func (c *Controller) sample() {
 			c.peakAggIPC = agg
 		}
 		var wasActive []bool
-		if c.granter != nil || c.obs != nil {
+		if c.obs != nil {
 			wasActive = append([]bool(nil), c.active...)
 		}
 		c.culler.Cull(&CullState{
@@ -893,24 +861,6 @@ func (c *Controller) sample() {
 					c.obs.cullDemote.Inc()
 				} else if !was && c.active[i] {
 					c.obs.cullReact.Inc()
-				}
-			}
-		}
-		if c.granter != nil {
-			// Start-time-fair-queueing catch-up: a reactivated thread
-			// rejoins at the active credit floor instead of replaying
-			// its accumulated absence and monopolizing grants.
-			floor := math.Inf(1)
-			for i, on := range wasActive {
-				if on && c.active[i] && c.grantCredit[i] < floor {
-					floor = c.grantCredit[i]
-				}
-			}
-			if !math.IsInf(floor, 1) {
-				for i, on := range c.active {
-					if on && !wasActive[i] && c.grantCredit[i] < floor {
-						c.grantCredit[i] = floor
-					}
 				}
 			}
 		}

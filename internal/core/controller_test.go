@@ -42,7 +42,7 @@ func newMachine() *pipeline.Pipeline {
 	}
 	pcfg := pipeline.DefaultConfig()
 	bu := branch.NewUnit(pcfg.BranchEntries, pcfg.BTBEntries, pcfg.RASDepth, pcfg.HistoryBits)
-	pipe, err := pipeline.New(pcfg, hier, bu)
+	pipe, err := pipeline.NewIn(nil, pcfg, hier, bu)
 	if err != nil {
 		panic(err)
 	}
@@ -57,6 +57,19 @@ func mustController(pipe *pipeline.Pipeline, cfg Config, threads []*Thread) *Con
 		panic(err)
 	}
 	return c
+}
+
+// runCycles advances c by exactly n cycles.
+func runCycles(c *Controller, n uint64) { c.Advance(^uint64(0), 0, c.Now(), n) }
+
+// run advances c, as sim.RunContext does, until every thread has
+// retired target instructions or maxCycles have elapsed (0 = no
+// limit), and returns the cycles it ran.
+func run(c *Controller, target, maxCycles uint64) uint64 {
+	start := c.Now()
+	for !c.Advance(target, maxCycles, start, 1<<20) {
+	}
+	return c.Now() - start
 }
 
 func newThread(prof workload.Profile, slot int) *Thread {
@@ -80,7 +93,7 @@ func runPair(t *testing.T, policy Policy, cycles uint64) *Controller {
 	pipe := newMachine()
 	threads := []*Thread{newThread(hogProfile(), 0), newThread(victimProfile(), 1)}
 	c := mustController(pipe, testConfig(policy), threads)
-	c.RunCycles(cycles)
+	runCycles(c, cycles)
 	return c
 }
 
@@ -90,7 +103,7 @@ func runSingle(t *testing.T, prof workload.Profile, slot int, cycles uint64) flo
 	pipe := newMachine()
 	th := newThread(prof, slot)
 	c := mustController(pipe, testConfig(EventOnly{}), []*Thread{th})
-	c.RunCycles(cycles)
+	runCycles(c, cycles)
 	cnt := th.Counters()
 	return float64(cnt.Instrs) / float64(cnt.Cycles)
 }
@@ -99,7 +112,7 @@ func TestSingleThreadNeverSwitches(t *testing.T) {
 	pipe := newMachine()
 	th := newThread(victimProfile(), 0)
 	c := mustController(pipe, testConfig(EventOnly{}), []*Thread{th})
-	c.RunCycles(100_000)
+	runCycles(c, 100_000)
 	if c.Switches().Total() != 0 {
 		t.Fatalf("single-thread run switched: %+v", c.Switches())
 	}
@@ -120,8 +133,8 @@ func TestSOESwitchesOnMisses(t *testing.T) {
 		t.Fatal("event-only policy must not force quota switches")
 	}
 	both := c.Threads()
-	if both[0].Retired() == 0 || both[1].Retired() == 0 {
-		t.Fatalf("a thread never ran: %d / %d", both[0].Retired(), both[1].Retired())
+	if both[0].retired == 0 || both[1].retired == 0 {
+		t.Fatalf("a thread never ran: %d / %d", both[0].retired, both[1].retired)
 	}
 }
 
@@ -215,11 +228,11 @@ func TestMaxCyclesQuotaGuaranteesRotation(t *testing.T) {
 	threads := []*Thread{newThread(hogProfile(), 0), newThread(hogProfile(), 1)}
 	cfg := testConfig(EventOnly{})
 	c := mustController(pipe, cfg, threads)
-	c.RunCycles(100_000)
+	runCycles(c, 100_000)
 	if c.Switches().MaxQuota == 0 {
 		t.Fatal("max-cycles quota never fired for two no-miss threads")
 	}
-	if threads[0].Retired() == 0 || threads[1].Retired() == 0 {
+	if threads[0].retired == 0 || threads[1].retired == 0 {
 		t.Fatal("a hog never ran despite the max-cycles quota")
 	}
 }
@@ -248,21 +261,21 @@ func TestResetStatsClearsMeasurementKeepsState(t *testing.T) {
 		t.Fatal("reset left switch stats or samples")
 	}
 	for _, th := range c.Threads() {
-		if th.Retired() != 0 || th.Counters() != (stats.Counters{}) {
+		if th.retired != 0 || th.Counters() != (stats.Counters{}) {
 			t.Fatal("reset left thread counters")
 		}
 	}
 	// Reset recomputes quotas from the warmup window so measurement
 	// starts with fresh IPSw values: the hog must still carry one.
-	if c.Threads()[0].Quota() <= 0 {
+	if c.Threads()[0].quota <= 0 {
 		t.Fatal("reset must leave the mechanism armed (hog quota > 0)")
 	}
-	if c.CyclesSinceReset() != 0 {
+	if c.now != c.resetAt {
 		t.Fatal("CyclesSinceReset not zeroed")
 	}
 	// The machine continues to run correctly after a reset.
-	c.RunCycles(50_000)
-	if c.Threads()[0].Retired()+c.Threads()[1].Retired() == 0 {
+	runCycles(c, 50_000)
+	if c.Threads()[0].retired+c.Threads()[1].retired == 0 {
 		t.Fatal("no progress after reset")
 	}
 }
@@ -271,20 +284,20 @@ func TestRunTargetStopsWhenBothComplete(t *testing.T) {
 	pipe := newMachine()
 	threads := []*Thread{newThread(hogProfile(), 0), newThread(victimProfile(), 1)}
 	c := mustController(pipe, testConfig(Fairness{F: 1}), threads)
-	cycles := c.Run(5_000, 0)
+	cycles := run(c, 5_000, 0)
 	if cycles == 0 {
-		t.Fatal("Run did nothing")
+		t.Fatal("run did nothing")
 	}
 	for i, th := range threads {
-		if th.Retired() < 5_000 {
-			t.Fatalf("thread %d retired only %d", i, th.Retired())
+		if th.retired < 5_000 {
+			t.Fatalf("thread %d retired only %d", i, th.retired)
 		}
 	}
-	// With a max-cycle cap, Run must stop early.
+	// With a max-cycle cap, the run must stop early.
 	pipe2 := newMachine()
 	threads2 := []*Thread{newThread(hogProfile(), 0), newThread(victimProfile(), 1)}
 	c2 := mustController(pipe2, testConfig(EventOnly{}), threads2)
-	got := c2.Run(1<<40, 10_000)
+	got := run(c2, 1<<40, 10_000)
 	if got != 10_000 {
 		t.Fatalf("maxCycles cap returned %d", got)
 	}
@@ -309,7 +322,7 @@ func TestNaiveDeficitSwitchesAtLeastAsOften(t *testing.T) {
 		cfg := testConfig(Fairness{F: 1})
 		cfg.NaiveDeficit = naive
 		c := mustController(pipe, cfg, threads)
-		c.RunCycles(cycles)
+		runCycles(c, cycles)
 		return c.Switches().Quota
 	}
 	deficit := run(false)
@@ -331,7 +344,7 @@ func TestMeasuredMissLatApproximatesMemoryLatency(t *testing.T) {
 	cfg := testConfig(EventOnly{})
 	cfg.MeasureMissLat = true
 	c := mustController(pipe, cfg, []*Thread{th})
-	c.RunCycles(300_000)
+	runCycles(c, 300_000)
 	got := c.MeasuredMissLat()
 	// Head-observed residual latency: detection happens after the
 	// access started (shortening it) but bus queueing of clustered
@@ -446,7 +459,7 @@ func TestSamplePartialWindowIPC(t *testing.T) {
 	c := mustController(pipe, cfg, threads)
 
 	// One full window plus half of the next.
-	c.RunCycles(cfg.Delta + cfg.Delta/2)
+	runCycles(c, cfg.Delta+cfg.Delta/2)
 	full := c.Samples()
 	if len(full) != 1 {
 		t.Fatalf("expected 1 boundary sample, got %d", len(full))
@@ -487,26 +500,27 @@ func TestSamplePartialWindowIPC(t *testing.T) {
 	}
 }
 
-// Regression: Run must flag when it stops at the maxCycles cap before
-// every thread reaches its target, and ResetStats must clear the flag.
+// Regression: Advance must flag when it stops at the maxCycles cap
+// before every thread reaches its target, and ResetStats must clear
+// the flag.
 func TestRunTruncatedFlag(t *testing.T) {
 	pipe := newMachine()
 	threads := []*Thread{newThread(hogProfile(), 0), newThread(victimProfile(), 1)}
 	c := mustController(pipe, testConfig(EventOnly{}), threads)
-	if c.Run(1<<40, 10_000) != 10_000 {
+	if run(c, 1<<40, 10_000) != 10_000 {
 		t.Fatal("cap did not bind")
 	}
 	if !c.Truncated() {
-		t.Fatal("capped Run must report truncation")
+		t.Fatal("capped run must report truncation")
 	}
 	c.ResetStats()
 	if c.Truncated() {
 		t.Fatal("ResetStats must clear the truncation flag")
 	}
-	if c.Run(1_000, 0) == 0 {
-		t.Fatal("Run did nothing")
+	if run(c, 1_000, 0) == 0 {
+		t.Fatal("run did nothing")
 	}
 	if c.Truncated() {
-		t.Fatal("completed Run must not report truncation")
+		t.Fatal("completed run must not report truncation")
 	}
 }

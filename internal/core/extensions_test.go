@@ -23,7 +23,7 @@ func TestSwitchOnPauseExtension(t *testing.T) {
 		cfg := testConfig(EventOnly{})
 		cfg.SwitchOnPause = enabled
 		c := mustController(pipe, cfg, threads)
-		c.RunCycles(100_000)
+		runCycles(c, 100_000)
 		return c
 	}
 	off := run(false)
@@ -53,9 +53,9 @@ func TestThreeThreadSOE(t *testing.T) {
 		newThread(victimProfile2(), 2),
 	}
 	c := mustController(pipe, testConfig(Fairness{F: 0.5}), threads)
-	c.RunCycles(600_000)
+	runCycles(c, 600_000)
 	for i, th := range threads {
-		if th.Retired() == 0 {
+		if th.retired == 0 {
 			t.Fatalf("thread %d never ran", i)
 		}
 	}
@@ -100,7 +100,7 @@ func TestThroughputScalesWithThreads(t *testing.T) {
 			threads = append(threads, newThread(p, i))
 		}
 		c := mustController(pipe, testConfig(EventOnly{}), threads)
-		c.RunCycles(cycles)
+		runCycles(c, cycles)
 		var instrs uint64
 		for _, th := range threads {
 			instrs += th.Counters().Instrs
@@ -137,7 +137,7 @@ func TestSwitchOnL1MissExtension(t *testing.T) {
 		cfg := testConfig(EventOnly{})
 		cfg.SwitchOnL1Miss = enabled
 		c := mustController(pipe, cfg, threads)
-		c.RunCycles(200_000)
+		runCycles(c, 200_000)
 		return c
 	}
 	off := run(false)
@@ -150,8 +150,8 @@ func TestSwitchOnL1MissExtension(t *testing.T) {
 	}
 	// Each L1 switch costs more than the latency it hides here, so
 	// throughput must not improve.
-	offIPC := float64(off.Threads()[0].Retired()+off.Threads()[1].Retired()) / float64(off.Now())
-	onIPC := float64(on.Threads()[0].Retired()+on.Threads()[1].Retired()) / float64(on.Now())
+	offIPC := float64(off.Threads()[0].retired+off.Threads()[1].retired) / float64(off.Now())
+	onIPC := float64(on.Threads()[0].retired+on.Threads()[1].retired) / float64(on.Now())
 	if onIPC > offIPC*1.02 {
 		t.Errorf("L1 switching unexpectedly improved IPC: %.3f vs %.3f", onIPC, offIPC)
 	}

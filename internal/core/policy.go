@@ -24,7 +24,8 @@ import (
 //
 // F is the target fairness in (0, 1]. A non-positive return means the
 // thread needs no forced switches (it switches on misses at least as
-// often as the quota would demand).
+// often as the quota would demand). No program calls this pair form:
+// it is the reference that tests check the N-thread quotas against.
 func IPSwQuota(ipmJ, ipcSTJ, cpmMin, missLat, f float64) float64 {
 	if f <= 0 {
 		return 0

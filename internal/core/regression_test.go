@@ -22,7 +22,7 @@ func TestNoForcedSwitchesForMissBoundPairs(t *testing.T) {
 	b.Seed = 999
 	threads := []*Thread{newThread(a, 0), newThread(b, 1)}
 	c := mustController(pipe, testConfig(Fairness{F: 0.25}), threads)
-	c.RunCycles(400_000)
+	runCycles(c, 400_000)
 	sw := c.Switches()
 	if sw.Miss == 0 {
 		t.Fatal("no miss switches")
@@ -43,7 +43,7 @@ func TestPingPongMissesNotRecounted(t *testing.T) {
 	pipeST := newMachine()
 	thST := newThread(victimProfile(), 0)
 	cST := mustController(pipeST, testConfig(EventOnly{}), []*Thread{thST})
-	cST.RunCycles(400_000)
+	runCycles(cST, 400_000)
 	stIPM := thST.Counters().IPM()
 
 	// Two missy threads ping-ponging.
@@ -53,7 +53,7 @@ func TestPingPongMissesNotRecounted(t *testing.T) {
 	b.Seed = 999
 	threads := []*Thread{newThread(a, 0), newThread(b, 1)}
 	c := mustController(pipe, testConfig(EventOnly{}), threads)
-	c.RunCycles(800_000)
+	runCycles(c, 800_000)
 	soeIPM := threads[0].Counters().IPM()
 
 	// Counted miss density under SOE must stay within ~2x of the
@@ -82,7 +82,7 @@ func TestDeficitMaintainsQuotaAverage(t *testing.T) {
 	threads := []*Thread{newThread(hogProfile(), 0), newThread(victimProfile(), 1)}
 	cfg := testConfig(Fairness{F: 1})
 	c := mustController(pipe, cfg, threads)
-	c.RunCycles(800_000)
+	runCycles(c, 800_000)
 	hog := threads[0]
 	// Quotas are resampled every Δ; compare the realized visit length
 	// against the mean sampled quota.

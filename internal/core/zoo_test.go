@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -359,6 +360,29 @@ func (testCullOne) Cull(st *CullState) {
 	}
 }
 
+// testGrantCull implements both optional extensions, which no policy
+// may.
+type testGrantCull struct{ testCullOne }
+
+func (testGrantCull) GrantWeights([]ThreadSample) []float64 { return nil }
+
+func TestValidateRejectsGranterAndCuller(t *testing.T) {
+	cfg := testConfig(testGrantCull{})
+	var ce *ConfigError
+	if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != "Policy" {
+		t.Fatalf("Validate = %v, want a Policy ConfigError", err)
+	}
+	threads := []*Thread{newThread(hogProfile(), 0), newThread(victimProfile(), 1)}
+	if _, err := NewController(newMachine(), cfg, threads); !errors.As(err, &ce) {
+		t.Fatalf("NewController = %v, want a ConfigError", err)
+	}
+	for _, p := range []Policy{testCullOne{}, GroupedFairness{F: 1}, WFQGrant{}, Malthusian{}} {
+		if err := testConfig(p).Validate(); err != nil {
+			t.Errorf("%s: Validate = %v", p.Name(), err)
+		}
+	}
+}
+
 // TestCullerSuppressesSwitches runs a pair under a Culler that demotes
 // the victim at the first Δ sample: from then on the machine must
 // behave like a single-thread run (no switches, no livelock) while the
@@ -367,25 +391,25 @@ func TestCullerSuppressesSwitches(t *testing.T) {
 	pipe := newMachine()
 	threads := []*Thread{newThread(hogProfile(), 0), newThread(victimProfile(), 1)}
 	c := mustController(pipe, testConfig(testCullOne{}), threads)
-	c.RunCycles(200_000)
+	runCycles(c, 200_000)
 
-	act := c.Active()
+	act := c.active
 	if !act[0] || act[1] {
 		t.Fatalf("active mask = %v, want [true false]", act)
 	}
 	// Switches can only have happened before the first sample (cycle
 	// 20k); afterwards every switch cause is suppressed.
 	preSample := c.Switches().Total()
-	before0 := threads[0].Retired()
-	c.RunCycles(200_000)
+	before0 := threads[0].retired
+	runCycles(c, 200_000)
 	if got := c.Switches().Total(); got != preSample {
 		t.Errorf("switches grew from %d to %d after the cull; must be suppressed", preSample, got)
 	}
-	if threads[0].Retired() == before0 {
+	if threads[0].retired == before0 {
 		t.Error("sole active thread stopped retiring: suppression livelocked the machine")
 	}
-	if c.Current() != 0 {
-		t.Errorf("running thread = %d, want 0", c.Current())
+	if c.cur != 0 {
+		t.Errorf("running thread = %d, want 0", c.cur)
 	}
 }
 
@@ -452,7 +476,7 @@ func TestWFQGrantOrderFollowsCredits(t *testing.T) {
 		newThread(victimProfile(), 2),
 	}
 	c := mustController(pipe, testConfig(WFQGrant{Weights: []float64{4, 1, 1}}), threads)
-	c.RunCycles(600_000)
+	runCycles(c, 600_000)
 
 	if c.Switches().Total() == 0 {
 		t.Fatal("no switches")
@@ -495,17 +519,17 @@ func TestMalthusianControllerInvariants(t *testing.T) {
 		newThread(hogProfile(), 3),
 	}
 	c := mustController(pipe, testConfig(Malthusian{MinAggFrac: 0.99, ProbeEvery: 3}), threads)
-	c.RunCycles(600_000)
+	runCycles(c, 600_000)
 
 	anyActive := false
-	for _, on := range c.Active() {
+	for _, on := range c.active {
 		anyActive = anyActive || on
 	}
 	if !anyActive {
 		t.Fatal("active mask emptied; the controller floor failed")
 	}
 	for i, th := range threads {
-		if th.Retired() == 0 {
+		if th.retired == 0 {
 			t.Errorf("thread %d retired nothing; reactivation probes must keep demoted threads alive", i)
 		}
 	}

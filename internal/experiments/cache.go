@@ -140,14 +140,6 @@ func (c *Cache) SetRunFunc(fn func(context.Context, sim.Spec) (*sim.Result, erro
 // including caches degraded to memory-only at construction).
 func (c *Cache) Dir() string { return c.dir }
 
-// Degraded returns the error that demoted this cache to memory-only at
-// construction, or nil when the disk layer came up normally.
-func (c *Cache) Degraded() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.degraded
-}
-
 // Metrics returns a snapshot of the cache's instrumentation.
 func (c *Cache) Metrics() RunnerMetrics { return c.m.snapshot() }
 

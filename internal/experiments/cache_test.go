@@ -255,7 +255,7 @@ func TestRunSpecFreshCountsCancellationApartFromFailure(t *testing.T) {
 func stubRunner(t *testing.T, onPair func(sim.Spec) (*sim.Result, error)) *Runner {
 	t.Helper()
 	r := NewRunner(testOptions())
-	r.Cache().run = func(_ context.Context, spec sim.Spec) (*sim.Result, error) {
+	r.cache.run = func(_ context.Context, spec sim.Spec) (*sim.Result, error) {
 		if len(spec.Threads) == 1 {
 			return fakeResult(1), nil
 		}
@@ -341,7 +341,7 @@ func TestRunnerPersistentCacheMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := NewRunnerWith(testOptions(), c)
-		r.Cache().run = func(_ context.Context, spec sim.Spec) (*sim.Result, error) {
+		r.cache.run = func(_ context.Context, spec sim.Spec) (*sim.Result, error) {
 			sims.Add(1)
 			return fakeResult(float64(len(spec.Threads))), nil
 		}

@@ -180,13 +180,21 @@ func ProfileCalibration(m sim.MachineConfig) (*model.Calibration, error) {
 	return cal, nil
 }
 
+// ilpPeak/ilpSlope parameterize the ILP heuristic
+// IPC ~ ilpPeak/(1 + ilpSlope·ChainFrac), which fitProfile evaluates
+// and FitTrace inverts.
+const (
+	ilpPeak  = 2.6
+	ilpSlope = 2.2
+)
+
 // fitProfile maps profile knobs to model parameters using the
 // calibration notes in workload/profiles.go: cold loads drive L2
 // misses (ignoring MSHR coalescing), and the dependence-chain fraction
 // is the dominant ILP limiter between ~1.0 and ~2.5 IPC.
 func fitProfile(p workload.Profile) model.ThreadParams {
 	ipm := 1.0 / math.Max(p.FracLoad*p.PCold, 1e-9)
-	ipc := 2.6 / (1 + 2.2*p.ChainFrac)
+	ipc := ilpPeak / (1 + ilpSlope*p.ChainFrac)
 	ipc = math.Min(math.Max(ipc, 0.9), 2.5)
 	return model.ThreadParams{Name: p.Name, IPCNoMiss: ipc, IPM: ipm}
 }

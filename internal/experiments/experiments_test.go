@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"soemt/internal/sim"
+	"soemt/internal/workload"
 )
 
 // testOptions shrinks runs so the experiment drivers stay fast in unit
@@ -20,10 +21,14 @@ func testOptions() Options {
 }
 
 func TestPairsValid(t *testing.T) {
-	if err := validatePairs(); err != nil {
-		t.Fatal(err)
-	}
 	ps := Pairs()
+	for _, p := range ps {
+		for _, n := range []string{p.A, p.B} {
+			if _, ok := workload.ByName(n); !ok {
+				t.Fatalf("pair %s names unknown profile %s", p.Name(), n)
+			}
+		}
+	}
 	if len(ps) != 16 {
 		t.Fatalf("paper uses 16 combinations, got %d", len(ps))
 	}
@@ -38,13 +43,6 @@ func TestPairsValid(t *testing.T) {
 	}
 	if (Pair{"a", "b"}).Name() != "a:b" {
 		t.Fatal("pair name format")
-	}
-}
-
-func TestUnknownProfileError(t *testing.T) {
-	e := &unknownProfileError{name: "nope"}
-	if !strings.Contains(e.Error(), "nope") {
-		t.Fatal("error message")
 	}
 }
 

@@ -135,7 +135,7 @@ func TestUncreatableCacheDirDegradesToMemoryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCache must not fail on an uncreatable dir: %v", err)
 	}
-	if c.Degraded() == nil {
+	if c.degraded == nil {
 		t.Fatal("cache must record its degradation")
 	}
 	if c.Dir() != "" {

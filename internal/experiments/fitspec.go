@@ -171,14 +171,6 @@ func fitTemplate(seed uint64) workload.Profile {
 	}
 }
 
-// ilpPeak/ilpSlope parameterize the IPC heuristic
-// IPC ~ ilpPeak/(1 + ilpSlope·ChainFrac) used to seed and steer the
-// ChainFrac iteration (same constants as the profile-only model tier).
-const (
-	ilpPeak  = 2.6
-	ilpSlope = 2.2
-)
-
 func clampRange(v, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, v)) }
 
 // FitTrace fits a synthetic profile and arrival process to the trace.

@@ -87,22 +87,3 @@ func Pairs() []Pair {
 		{"equake", "eon"},
 	}
 }
-
-// validatePairs is called from tests: every pair must reference a
-// built-in profile.
-func validatePairs() error {
-	for _, p := range Pairs() {
-		for _, n := range []string{p.A, p.B} {
-			if _, ok := workload.ByName(n); !ok {
-				return &unknownProfileError{name: n}
-			}
-		}
-	}
-	return nil
-}
-
-type unknownProfileError struct{ name string }
-
-func (e *unknownProfileError) Error() string {
-	return "experiments: unknown profile " + e.name
-}

@@ -156,9 +156,6 @@ func NewRunnerWith(opts Options, c *Cache) *Runner {
 	}
 }
 
-// Cache returns the runner's result cache.
-func (r *Runner) Cache() *Cache { return r.cache }
-
 // Metrics returns a snapshot of the engine's instrumentation (runs
 // executed, cache hits per layer, simulated cycles per second).
 func (r *Runner) Metrics() RunnerMetrics { return r.cache.Metrics() }

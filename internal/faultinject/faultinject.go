@@ -68,13 +68,6 @@ func (in *Injector) Arm(site string, p Plan) *Injector {
 	return in
 }
 
-// Disarm removes the plan for site.
-func (in *Injector) Disarm(site string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.plans, site)
-}
-
 // Hit reports whether this call to site faults, advancing the site's
 // call counter. Nil-receiver safe. The decision is a pure function of
 // (seed, site, call index): replaying the same sequence of calls

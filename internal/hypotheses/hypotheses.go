@@ -38,17 +38,6 @@ type Env struct {
 	Watchdog  sim.Watchdog
 }
 
-// DefaultEnv returns a tiny-scale in-memory environment, the scale the
-// committed FINDINGS are generated at.
-func DefaultEnv() Env {
-	return Env{
-		Ctx:       context.Background(),
-		ScaleName: "tiny",
-		Scale:     sim.TinyScale(),
-		Cache:     experiments.NewMemCache(),
-	}
-}
-
 // Check is one falsification criterion: the hypothesis survives only
 // if every check passes.
 type Check struct {

@@ -2,11 +2,26 @@ package hypotheses
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"soemt/internal/experiments"
+	"soemt/internal/sim"
 )
+
+// tinyEnv is an in-memory environment at tiny scale, the scale the
+// committed FINDINGS are generated at.
+func tinyEnv() Env {
+	return Env{
+		Ctx:       context.Background(),
+		ScaleName: "tiny",
+		Scale:     sim.TinyScale(),
+		Cache:     experiments.NewMemCache(),
+	}
+}
 
 // TestExperimentsSupported runs every registered hypothesis experiment
 // at the committed (tiny) scale and requires the measurements to
@@ -17,7 +32,7 @@ func TestExperimentsSupported(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
-			env := DefaultEnv()
+			env := tinyEnv()
 			o, err := e.Run(env)
 			if err != nil {
 				t.Fatalf("experiment %s: %v", e.Name, err)
@@ -43,7 +58,7 @@ func TestFindingsDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("grouped-fairness experiment missing")
 	}
-	env := DefaultEnv()
+	env := tinyEnv()
 	o := &Outcome{}
 	o.check("sample", true, "a %.3f vs b %.3f", 1.0, 2.0)
 	o.note("note")
@@ -116,7 +131,7 @@ func TestReadStatus(t *testing.T) {
 		t.Fatalf("unexpected findings path %q", path)
 	}
 	e, _ := ByName("wfq")
-	env := DefaultEnv()
+	env := tinyEnv()
 	o := &Outcome{}
 	o.check("sample", true, "ok")
 	var b bytes.Buffer

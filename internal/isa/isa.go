@@ -45,9 +45,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Valid reports whether k names a defined micro-op kind.
-func (k Kind) Valid() bool { return k < NumKinds }
-
 // IsMem reports whether the kind accesses data memory.
 func (k Kind) IsMem() bool { return k == Load || k == Store }
 
@@ -87,9 +84,6 @@ type Uop struct {
 	Taken  bool   // architectural outcome
 	Target uint64 // architectural target PC
 }
-
-// HasDst reports whether the uop writes a register.
-func (u *Uop) HasDst() bool { return u.Dst.Valid() }
 
 // String renders a compact human-readable form, for logs and tests.
 func (u *Uop) String() string {

@@ -23,17 +23,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindValid(t *testing.T) {
-	for k := Kind(0); k < NumKinds; k++ {
-		if !k.Valid() {
-			t.Errorf("kind %v should be valid", k)
-		}
-	}
-	if Kind(NumKinds).Valid() {
-		t.Error("NumKinds should not be a valid kind")
-	}
-}
-
 func TestIsMem(t *testing.T) {
 	for k := Kind(0); k < NumKinds; k++ {
 		want := k == Load || k == Store
@@ -112,16 +101,5 @@ func TestUopString(t *testing.T) {
 	alu := &Uop{Seq: 4, Kind: ALU, Dst: 1, Src1: 2, Src2: 3}
 	if s := alu.String(); !strings.Contains(s, "ALU") {
 		t.Errorf("alu string = %q", s)
-	}
-}
-
-func TestHasDst(t *testing.T) {
-	u := &Uop{Dst: RegNone}
-	if u.HasDst() {
-		t.Error("RegNone dst should report no destination")
-	}
-	u.Dst = 5
-	if !u.HasDst() {
-		t.Error("valid dst should report a destination")
 	}
 }

@@ -200,17 +200,6 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	return false, false
 }
 
-// Reset invalidates the whole cache and clears statistics.
-func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
-	c.Stats = CacheStats{}
-	c.clock = 0
-}
-
 // ResetStats clears statistics without touching cache contents (used
 // at the end of warmup).
 func (c *Cache) ResetStats() { c.Stats = CacheStats{} }

@@ -66,14 +66,6 @@ type AccessResult struct {
 	Coalesced bool   // joined an outstanding fill rather than starting one
 }
 
-// Latency returns the access latency relative to issue cycle `now`.
-func (r AccessResult) Latency(now uint64) uint64 {
-	if r.DoneAt <= now {
-		return 0
-	}
-	return r.DoneAt - now
-}
-
 // pageTableBase tags synthetic page-table addresses so walks occupy
 // distinct L2 lines from program data.
 const pageTableBase = uint64(1) << 46
@@ -151,12 +143,6 @@ func (h *Hierarchy) outstanding(line uint64) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// OutstandingFills returns the number of in-flight line fills at now.
-func (h *Hierarchy) OutstandingFills(now uint64) int {
-	h.reap(now)
-	return len(h.mshrs)
 }
 
 // fillFromMemory starts (or joins) a memory fill for the L2 line
@@ -314,15 +300,6 @@ func (h *Hierarchy) TranslateData(now uint64, addr uint64) WalkResult {
 // TranslateFetch translates an instruction address through the ITLB.
 func (h *Hierarchy) TranslateFetch(now uint64, addr uint64) WalkResult {
 	return h.translate(now, h.ITLB, addr)
-}
-
-// Reset restores the hierarchy to cold state.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.structures() {
-		c.Reset()
-	}
-	h.ResetTiming()
-	h.Stats = HierarchyStats{}
 }
 
 // ResetTiming clears timing state (bus occupancy and outstanding

@@ -24,7 +24,7 @@ func TestHierarchyL1Hit(t *testing.T) {
 	if r.L1Miss || r.L2Miss {
 		t.Fatalf("expected L1 hit, got %+v", r)
 	}
-	if got := r.Latency(1000); got != 3 {
+	if got := r.DoneAt - 1000; got != 3 {
 		t.Fatalf("L1 hit latency = %d, want 3", got)
 	}
 }
@@ -40,7 +40,7 @@ func TestHierarchyL2HitLatency(t *testing.T) {
 	if !r.L1Miss || r.L2Miss {
 		t.Fatalf("expected L1 miss/L2 hit, got %+v", r)
 	}
-	if got := r.Latency(5000); got != 3+12 {
+	if got := r.DoneAt - 5000; got != 3+12 {
 		t.Fatalf("L2 hit latency = %d, want 15", got)
 	}
 }
@@ -54,7 +54,7 @@ func TestHierarchyMemoryMissLatency(t *testing.T) {
 	}
 	// Latency = L1 (3) + L2 (12) + bus grant (immediate) + mem (300).
 	want := uint64(3 + 12 + cfg.MemLatency)
-	if got := r.Latency(0); got != want {
+	if got := r.DoneAt; got != want {
 		t.Fatalf("memory miss latency = %d, want %d", got, want)
 	}
 }
@@ -95,8 +95,8 @@ func TestHierarchyMSHRFullBackpressure(t *testing.T) {
 		t.Fatalf("expected MSHR stall, stats=%+v", h.Stats)
 	}
 	// Third miss cannot even start until an MSHR frees (~315).
-	if r3.Latency(0) <= uint64(cfg.MemLatency) {
-		t.Fatalf("stalled miss latency %d too small", r3.Latency(0))
+	if r3.DoneAt <= uint64(cfg.MemLatency) {
+		t.Fatalf("stalled miss latency %d too small", r3.DoneAt)
 	}
 }
 
@@ -205,9 +205,15 @@ func TestHierarchyResetAndResetStats(t *testing.T) {
 	if !h.L1D.Probe(0x7000) {
 		t.Fatal("ResetStats must keep contents")
 	}
-	h.Reset()
-	if h.L1D.Probe(0x7000) {
-		t.Fatal("Reset must drop contents")
+	// ResetTiming, after functional warmup, drops in-flight fills and
+	// bus occupancy but keeps contents too.
+	h.AccessData(0, 0x9000, false)
+	h.ResetTiming()
+	if len(h.mshrs) != 0 {
+		t.Fatalf("ResetTiming left %d fills in flight", len(h.mshrs))
+	}
+	if !h.L1D.Probe(0x7000) || !h.L1D.Probe(0x9000) {
+		t.Fatal("ResetTiming must keep contents")
 	}
 }
 
@@ -254,12 +260,18 @@ func TestBusPipelining(t *testing.T) {
 func TestOutstandingFillsReaped(t *testing.T) {
 	h := mustHierarchy(testConfig())
 	h.AccessData(0, 0x30000, false)
-	if n := h.OutstandingFills(0); n != 1 {
+	if n := outstanding(h, 0); n != 1 {
 		t.Fatalf("outstanding = %d, want 1", n)
 	}
-	if n := h.OutstandingFills(10000); n != 0 {
+	if n := outstanding(h, 10000); n != 0 {
 		t.Fatalf("outstanding after completion = %d, want 0", n)
 	}
+}
+
+// outstanding returns the number of line fills still in flight at now.
+func outstanding(h *Hierarchy, now uint64) int {
+	h.reap(now)
+	return len(h.mshrs)
 }
 
 // Monotonic-time property: results never complete before issue+L1
@@ -335,7 +347,7 @@ func TestPrefetcherRespectsMSHRBudget(t *testing.T) {
 	h := mustHierarchy(cfg)
 	h.AccessData(0, 0x60000, false)
 	// 1 demand + at most 2 prefetches fit the MSHRs.
-	if n := h.OutstandingFills(0); n > 3 {
+	if n := outstanding(h, 0); n > 3 {
 		t.Fatalf("outstanding fills %d exceed MSHRs", n)
 	}
 	if h.Stats.MSHRFullStalls != 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 )
 
 // CalibrationSchemaVersion versions the persisted calibration table.
@@ -122,16 +121,6 @@ func (c *Calibration) System(names ...string) (*System, error) {
 		sys.Threads = append(sys.Threads, t)
 	}
 	return sys, nil
-}
-
-// ThreadNames returns the calibrated thread names, sorted.
-func (c *Calibration) ThreadNames() []string {
-	names := make([]string, 0, len(c.Threads))
-	for n := range c.Threads {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Save writes the table as indented JSON.

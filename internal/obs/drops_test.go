@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -14,52 +15,39 @@ func TestChromeTraceCarriesDropCount(t *testing.T) {
 	events := sampleEvents()
 	var buf bytes.Buffer
 	meta := TraceMeta{ThreadNames: []string{"gcc", "eon"}, Dropped: 37}
-	if err := WriteChromeTraceMeta(&buf, events, meta); err != nil {
+	if err := WriteChromeTrace(&buf, events, meta); err != nil {
 		t.Fatal(err)
 	}
-	back, got, err := ReadChromeTraceMeta(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	tr, recs := decodeChrome(t, buf.Bytes())
+	if got := tr.OtherData[droppedKey]; got != "37" {
+		t.Fatalf("otherData[%s] = %q, want 37", droppedKey, got)
 	}
-	if got.Dropped != 37 {
-		t.Fatalf("Dropped round-tripped as %d, want 37", got.Dropped)
+	var names []string
+	for _, ce := range tr.TraceEvents {
+		if ce.Ph == "M" && ce.Name == "thread_name" {
+			names = append(names, fmt.Sprintf("%d=%s", ce.Tid, ce.Args["name"]))
+		}
 	}
-	if len(got.ThreadNames) != 2 || got.ThreadNames[0] != "gcc" || got.ThreadNames[1] != "eon" {
-		t.Fatalf("ThreadNames round-tripped as %v", got.ThreadNames)
+	if strings.Join(names, ",") != "0=gcc,1=eon" {
+		t.Fatalf("thread_name records = %v, want 0=gcc, 1=eon", names)
 	}
-	if len(back) != len(events) {
-		t.Fatalf("events round-tripped as %d, want %d", len(back), len(events))
+	if len(recs) != len(events) {
+		t.Fatalf("%d event records, want %d", len(recs), len(events))
 	}
 }
 
 func TestCSVCarriesDropCount(t *testing.T) {
 	events := sampleEvents()
 	var buf bytes.Buffer
-	if err := WriteCSVMeta(&buf, events, TraceMeta{Dropped: 5}); err != nil {
+	if err := WriteCSV(&buf, events, TraceMeta{Dropped: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "# dropped=5\n") {
 		t.Fatalf("CSV does not lead with the drop comment:\n%s", buf.String())
 	}
-
-	back, meta, err := ReadCSVMeta(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Dropped != 5 {
-		t.Fatalf("Dropped round-tripped as %d, want 5", meta.Dropped)
-	}
-	if len(back) != len(events) {
-		t.Fatalf("events round-tripped as %d, want %d", len(back), len(events))
-	}
-
-	// Meta-unaware readers still parse meta-carrying files.
-	plain, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadCSV choked on the metadata comment: %v", err)
-	}
-	if len(plain) != len(events) {
-		t.Fatalf("ReadCSV returned %d events, want %d", len(plain), len(events))
+	// A reader that skips '#' comments still parses the file.
+	if recs := decodeCSV(t, buf.Bytes()); len(recs) != len(events) {
+		t.Fatalf("%d records, want %d", len(recs), len(events))
 	}
 }
 
@@ -68,19 +56,16 @@ func TestCSVCarriesDropCount(t *testing.T) {
 func TestNoDropsMeansNoMetadata(t *testing.T) {
 	events := sampleEvents()
 	var csvBuf, jsonBuf bytes.Buffer
-	if err := WriteCSVMeta(&csvBuf, events, TraceMeta{}); err != nil {
+	if err := WriteCSV(&csvBuf, events, TraceMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.HasPrefix(csvBuf.String(), "#") {
 		t.Fatal("drop-free CSV export grew a comment line")
 	}
-	if err := WriteChromeTraceMeta(&jsonBuf, events, TraceMeta{}); err != nil {
+	if err := WriteChromeTrace(&jsonBuf, events, TraceMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(jsonBuf.String(), droppedKey) {
 		t.Fatalf("drop-free chrome export carries %q", droppedKey)
-	}
-	if _, meta, err := ReadCSVMeta(bytes.NewReader(csvBuf.Bytes())); err != nil || meta.Dropped != 0 {
-		t.Fatalf("clean CSV meta = (%+v, %v)", meta, err)
 	}
 }

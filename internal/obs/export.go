@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // Exporters for the event tracer.
@@ -18,17 +16,20 @@ import (
 // the timeline reads directly in cycles. Every traced Event becomes
 // one trace_event object whose args carry the full record in exact
 // string form ("cycle", "cause", "a", "b", "n") — ts/tid/dur are
-// presentation only, so ReadChromeTrace round-trips exactly even for
-// cycles beyond float64 precision and non-finite payloads. Two kinds
-// of presentation-only extras are also emitted and skipped on read:
-// thread_name metadata (ph "M") and per-dispatch spans (cat
-// "dispatch") synthesized between consecutive switch records so thread
-// occupancy shows as solid blocks on each thread's track.
+// presentation only, so the record survives exactly even for cycles
+// beyond float64 precision and non-finite payloads. Two kinds of
+// presentation-only extras are also emitted: thread_name metadata (ph
+// "M") and per-dispatch spans (cat "dispatch") synthesized between
+// consecutive switch records so thread occupancy shows as solid blocks
+// on each thread's track.
 //
 // CSV: one event per line, "cycle,kind,thread,cause,a,b,n", with
-// floats in strconv 'g'/-1 form so WriteCSV∘ReadCSV is the identity.
+// floats in strconv 'g'/-1 form so every value is exact.
+//
+// Nothing in the module reads these files back; the tests pin the
+// exporters' bytes and decode them with encoding/json and encoding/csv.
 
-// chromeEvent is the subset of the trace_event schema we read back.
+// chromeEvent is the subset of the trace_event schema we write.
 type chromeEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat"`
@@ -53,9 +54,9 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 // Dropped is load-bearing: the tracer ring evicts its oldest events at
 // capacity, so a consumer reading an exported file with no drop count
 // cannot tell a complete trace from the most-recent suffix of one.
-// Both exporters embed it (Chrome otherData / a CSV comment line) and
-// the Meta readers surface it, so truncation is visible in the
-// artifact itself, not only in a stderr warning that scrolled away.
+// Both exporters embed it (Chrome otherData / a CSV comment line), so
+// truncation is visible in the artifact itself, not only in a stderr
+// warning that scrolled away.
 type TraceMeta struct {
 	ThreadNames []string // per-thread track labels (index = thread id)
 	Dropped     uint64   // events evicted by ring overflow before export
@@ -83,20 +84,11 @@ func eventArgs(ev Event) map[string]string {
 }
 
 // WriteChromeTrace renders events as Chrome trace_event JSON.
-// threadNames, when non-empty, labels the per-thread tracks (index =
-// thread id); it is presentation metadata and not needed to read the
-// file back. The export carries no drop count — prefer
-// WriteChromeTraceMeta when the events came from a tracer ring that
-// may have overflowed.
-func WriteChromeTrace(w io.Writer, events []Event, threadNames []string) error {
-	return WriteChromeTraceMeta(w, events, TraceMeta{ThreadNames: threadNames})
-}
-
-// WriteChromeTraceMeta is WriteChromeTrace carrying export metadata:
-// a non-zero meta.Dropped is embedded as otherData[droppedKey] so the
-// file itself records that it is the most-recent window of a longer
-// run, not a complete trace.
-func WriteChromeTraceMeta(w io.Writer, events []Event, meta TraceMeta) error {
+// meta.ThreadNames, when non-empty, labels the per-thread tracks
+// (index = thread id); a non-zero meta.Dropped is embedded as
+// otherData[droppedKey] so the file itself records that it is the
+// most-recent window of a longer run, not a complete trace.
+func WriteChromeTrace(w io.Writer, events []Event, meta TraceMeta) error {
 	threadNames := meta.ThreadNames
 	tr := chromeTrace{
 		DisplayTimeUnit: "ms",
@@ -155,106 +147,13 @@ func WriteChromeTraceMeta(w io.Writer, events []Event, meta TraceMeta) error {
 	return enc.Encode(tr)
 }
 
-func parseArgs(args map[string]string) (Event, error) {
-	var ev Event
-	cycle, err := strconv.ParseUint(args["cycle"], 10, 64)
-	if err != nil {
-		return ev, fmt.Errorf("obs: bad cycle %q: %w", args["cycle"], err)
-	}
-	kind, ok := KindFromString(args["kind"])
-	if !ok {
-		return ev, fmt.Errorf("obs: unknown kind %q", args["kind"])
-	}
-	thread, err := strconv.ParseInt(args["thread"], 10, 32)
-	if err != nil {
-		return ev, fmt.Errorf("obs: bad thread %q: %w", args["thread"], err)
-	}
-	cause, ok := CauseFromString(args["cause"])
-	if !ok {
-		return ev, fmt.Errorf("obs: unknown cause %q", args["cause"])
-	}
-	a, err := strconv.ParseFloat(args["a"], 64)
-	if err != nil {
-		return ev, fmt.Errorf("obs: bad a %q: %w", args["a"], err)
-	}
-	b, err := strconv.ParseFloat(args["b"], 64)
-	if err != nil {
-		return ev, fmt.Errorf("obs: bad b %q: %w", args["b"], err)
-	}
-	n, err := strconv.ParseUint(args["n"], 10, 64)
-	if err != nil {
-		return ev, fmt.Errorf("obs: bad n %q: %w", args["n"], err)
-	}
-	ev = Event{Cycle: cycle, Kind: kind, Cause: cause, Thread: int32(thread), A: a, B: b, N: n}
-	return ev, nil
-}
-
-// ReadChromeTrace parses a file written by WriteChromeTrace back into
-// events, skipping presentation-only records (metadata and synthesized
-// dispatch spans). Malformed input returns an error, never panics.
-func ReadChromeTrace(r io.Reader) ([]Event, error) {
-	events, _, err := ReadChromeTraceMeta(r)
-	return events, err
-}
-
-// ReadChromeTraceMeta is ReadChromeTrace that also recovers the export
-// metadata: the drop count from otherData and the thread-track labels
-// from the thread_name metadata records.
-func ReadChromeTraceMeta(r io.Reader) ([]Event, TraceMeta, error) {
-	var meta TraceMeta
-	var tr chromeTrace
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&tr); err != nil {
-		return nil, meta, fmt.Errorf("obs: chrome trace: %w", err)
-	}
-	if s, ok := tr.OtherData[droppedKey]; ok {
-		d, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return nil, meta, fmt.Errorf("obs: chrome trace: bad %s %q: %w", droppedKey, s, err)
-		}
-		meta.Dropped = d
-	}
-	var out []Event
-	for _, ce := range tr.TraceEvents {
-		if ce.Ph == "M" {
-			if ce.Name == "thread_name" && ce.Tid >= 0 {
-				for len(meta.ThreadNames) <= ce.Tid {
-					meta.ThreadNames = append(meta.ThreadNames, "")
-				}
-				meta.ThreadNames[ce.Tid] = ce.Args["name"]
-			}
-			continue
-		}
-		if ce.Cat == "dispatch" {
-			continue
-		}
-		if ce.Args == nil {
-			return nil, meta, fmt.Errorf("obs: chrome trace: event %q has no args", ce.Name)
-		}
-		ev, err := parseArgs(ce.Args)
-		if err != nil {
-			return nil, meta, err
-		}
-		out = append(out, ev)
-	}
-	return out, meta, nil
-}
-
 // csvHeader is the column layout of the CSV exporter.
 var csvHeader = []string{"cycle", "kind", "thread", "cause", "a", "b", "n"}
 
-// WriteCSV renders events as CSV with a header row. Prefer
-// WriteCSVMeta when the events came from a tracer ring that may have
-// overflowed, so the drop count travels with the file.
-func WriteCSV(w io.Writer, events []Event) error {
-	return WriteCSVMeta(w, events, TraceMeta{})
-}
-
-// WriteCSVMeta is WriteCSV carrying export metadata: a non-zero
+// WriteCSV renders events as CSV with a header row. A non-zero
 // meta.Dropped is recorded as a "# dropped=N" comment line before the
-// header. ReadCSV skips comment lines, so meta-carrying files stay
-// readable by meta-unaware consumers.
-func WriteCSVMeta(w io.Writer, events []Event, meta TraceMeta) error {
+// header, which CSV readers that skip '#' comments pass over.
+func WriteCSV(w io.Writer, events []Event, meta TraceMeta) error {
 	if meta.Dropped > 0 {
 		if _, err := fmt.Fprintf(w, "# dropped=%d\n", meta.Dropped); err != nil {
 			return err
@@ -280,68 +179,4 @@ func WriteCSVMeta(w io.Writer, events []Event, meta TraceMeta) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a file written by WriteCSV or WriteCSVMeta back into
-// events, skipping metadata comment lines. Malformed input returns an
-// error, never panics.
-func ReadCSV(r io.Reader) ([]Event, error) {
-	events, _, err := ReadCSVMeta(r)
-	return events, err
-}
-
-// ReadCSVMeta is ReadCSV that also recovers the export metadata from
-// the leading "# dropped=N" comment (zero when absent).
-func ReadCSVMeta(r io.Reader) ([]Event, TraceMeta, error) {
-	var meta TraceMeta
-	br := bufio.NewReader(r)
-	for {
-		peek, err := br.Peek(1)
-		if err != nil || peek[0] != '#' {
-			break
-		}
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			break
-		}
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(line, "#")), "dropped="); ok {
-			d, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				return nil, meta, fmt.Errorf("obs: csv: bad dropped comment %q: %w", strings.TrimSpace(line), err)
-			}
-			meta.Dropped = d
-		}
-	}
-	events, err := readCSVBody(br)
-	return events, meta, err
-}
-
-func readCSVBody(r io.Reader) ([]Event, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	cr.Comment = '#'
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("obs: csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("obs: csv: missing header")
-	}
-	for i, col := range csvHeader {
-		if rows[0][i] != col {
-			return nil, fmt.Errorf("obs: csv: header column %d is %q, want %q", i, rows[0][i], col)
-		}
-	}
-	out := make([]Event, 0, len(rows)-1)
-	for _, row := range rows[1:] {
-		ev, err := parseArgs(map[string]string{
-			"cycle": row[0], "kind": row[1], "thread": row[2],
-			"cause": row[3], "a": row[4], "b": row[5], "n": row[6],
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-	return out, nil
 }

@@ -49,16 +49,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString inverts String; ok is false for unknown names.
-func KindFromString(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // Cause qualifies an event: the trigger of a thread switch, or the
 // protocol phase of a slice/phase marker.
 type Cause uint8
@@ -91,16 +81,6 @@ func (c Cause) String() string {
 		return s
 	}
 	return "unknown"
-}
-
-// CauseFromString inverts String; ok is false for unknown names.
-func CauseFromString(s string) (Cause, bool) {
-	for c, name := range causeNames {
-		if name == s {
-			return c, true
-		}
-	}
-	return 0, false
 }
 
 // Event is one fixed-size traced record. The payload fields A, B and N
@@ -145,9 +125,6 @@ func NewTracer(capacity int) *Tracer {
 	}
 	return &Tracer{buf: make([]Event, capacity)}
 }
-
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Record appends ev, evicting the oldest event when full. No-op on a
 // nil tracer.
@@ -198,13 +175,4 @@ func (t *Tracer) Events() []Event {
 		out[i] = t.buf[(start+i)%len(t.buf)]
 	}
 	return out
-}
-
-// Reset drops all buffered events and the drop count, keeping the
-// allocated buffer.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.head, t.n, t.dropped = 0, 0, 0
 }

@@ -134,8 +134,8 @@ func TestIssueWakeCacheTransparent(t *testing.T) {
 			t.Parallel()
 			a := testMachine()
 			b := testMachine()
-			ga := workload.New(prof)
-			gb := workload.New(prof)
+			ga := workload.NewOffset(prof, 0)
+			gb := workload.NewOffset(prof, 0)
 			a.SetStream(0, workload.NewStream(ga, 0), 0)
 			b.SetStream(0, workload.NewStream(gb, 0), 0)
 			for now := uint64(0); now < 60_000; now++ {

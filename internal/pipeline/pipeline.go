@@ -79,14 +79,6 @@ func (m Metrics) AvgROBOccupancy() float64 {
 	return float64(m.ROBOccupancy) / float64(m.Cycles)
 }
 
-// AvgRSOccupancy returns mean occupied reservation stations per cycle.
-func (m Metrics) AvgRSOccupancy() float64 {
-	if m.Cycles == 0 {
-		return 0
-	}
-	return float64(m.RSOccupancy) / float64(m.Cycles)
-}
-
 // CycleResult reports what one cycle produced, for the SOE controller.
 type CycleResult struct {
 	Retired int // micro-ops retired this cycle
@@ -240,12 +232,6 @@ type Pipeline struct {
 	Metrics Metrics
 }
 
-// New builds a pipeline. Invalid configuration is returned as an
-// error, not panicked.
-func New(cfg Config, hier *mem.Hierarchy, bu *branch.Unit) (*Pipeline, error) {
-	return NewIn(nil, cfg, hier, bu)
-}
-
 // NewIn builds a pipeline whose backing arrays are carved from a (nil =
 // plain heap allocation). With a recycled arena the construction does
 // no steady-state allocations beyond the Pipeline header itself.
@@ -289,21 +275,8 @@ func NewIn(a *arena.Arena, cfg Config, hier *mem.Hierarchy, bu *branch.Unit) (*P
 	return p, nil
 }
 
-// Config returns the pipeline configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
-
 // Hierarchy returns the attached memory hierarchy.
 func (p *Pipeline) Hierarchy() *mem.Hierarchy { return p.hier }
-
-// BranchUnit returns the attached branch unit.
-func (p *Pipeline) BranchUnit() *branch.Unit { return p.bu }
-
-// Tid returns the current thread id.
-func (p *Pipeline) Tid() int { return p.tid }
-
-// NextArchSeq returns the architectural position: the sequence number
-// of the next micro-op to retire.
-func (p *Pipeline) NextArchSeq() uint64 { return p.nextArchSeq }
 
 // SetEvents installs the injected external-event schedule for the
 // current thread, skipping events before the current architectural
@@ -433,12 +406,6 @@ func (p *Pipeline) CopyFrom(src *Pipeline, stream *workload.Stream, events []Inj
 	p.Metrics = src.Metrics
 }
 
-// Drained reports whether no in-flight micro-ops remain (ROB and fetch
-// queue empty). The store buffer is allowed to be non-empty.
-func (p *Pipeline) Drained() bool {
-	return p.headID == p.nextID && p.fqCount == 0
-}
-
 // ROBOccupancy returns the number of in-flight ROB entries.
 func (p *Pipeline) ROBOccupancy() int { return int(p.nextID - p.headID) }
 
@@ -449,7 +416,9 @@ func (p *Pipeline) StoreBufLen() int { return len(p.sbAddr) - p.sbHead }
 func (p *Pipeline) ResetMetrics() { p.Metrics = Metrics{} }
 
 // producerDone reports whether the producer with ROB id has produced
-// its result by cycle `now` (retired producers count as done).
+// its result by cycle `now` (retired producers count as done). No
+// program calls it: it is the full-scan reference predicate that
+// TestIssueWakeCacheTransparent checks the wake cache against.
 func (p *Pipeline) producerDone(id uint64, now uint64) bool {
 	if id < p.headID {
 		return true // retired

@@ -17,7 +17,7 @@ func testMachine() *Pipeline {
 	}
 	cfg := DefaultConfig()
 	bu := branch.NewUnit(cfg.BranchEntries, cfg.BTBEntries, cfg.RASDepth, cfg.HistoryBits)
-	p, err := New(cfg, h, bu)
+	p, err := NewIn(nil, cfg, h, bu)
 	if err != nil {
 		panic(err)
 	}
@@ -51,7 +51,7 @@ func missyProfile() workload.Profile {
 // the cycle count.
 func run(t *testing.T, p *Pipeline, prof workload.Profile, instrs uint64) uint64 {
 	t.Helper()
-	g := workload.New(prof)
+	g := workload.NewOffset(prof, 0)
 	p.SetStream(0, workload.NewStream(g, 0), 0)
 	var retired uint64
 	now := uint64(0)
@@ -77,8 +77,8 @@ func TestRetiresInOrderAndMakesProgress(t *testing.T) {
 	if p.Metrics.Retired < 50000 {
 		t.Fatalf("retired = %d", p.Metrics.Retired)
 	}
-	if p.NextArchSeq() < 50000 {
-		t.Fatalf("arch seq = %d", p.NextArchSeq())
+	if p.nextArchSeq < 50000 {
+		t.Fatalf("arch seq = %d", p.nextArchSeq)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestMissyWorkloadMuchSlowerThanALU(t *testing.T) {
 
 func TestHeadMissPendingReported(t *testing.T) {
 	p := testMachine()
-	g := workload.New(missyProfile())
+	g := workload.NewOffset(missyProfile(), 0)
 	p.SetStream(0, workload.NewStream(g, 0), 0)
 	sawPending := false
 	var pendingSpan uint64
@@ -169,7 +169,7 @@ func TestHeadMissPendingReported(t *testing.T) {
 
 func TestSquashRewindsToArchPoint(t *testing.T) {
 	p := testMachine()
-	g := workload.New(aluProfile())
+	g := workload.NewOffset(aluProfile(), 0)
 	s := workload.NewStream(g, 0)
 	p.SetStream(0, s, 0)
 	var retired uint64
@@ -179,11 +179,11 @@ func TestSquashRewindsToArchPoint(t *testing.T) {
 		now++
 	}
 	resume := p.Squash()
-	if resume != p.NextArchSeq() {
-		t.Fatalf("resume %d != arch seq %d", resume, p.NextArchSeq())
+	if resume != p.nextArchSeq {
+		t.Fatalf("resume %d != arch seq %d", resume, p.nextArchSeq)
 	}
-	if !p.Drained() {
-		t.Fatal("not drained after squash")
+	if p.headID != p.nextID || p.fqCount != 0 {
+		t.Fatal("ROB or fetch queue not drained after squash")
 	}
 	// Resume and check the next retired instruction is exactly resume.
 	s.Seek(resume)
@@ -191,7 +191,7 @@ func TestSquashRewindsToArchPoint(t *testing.T) {
 	for {
 		r := p.Cycle(now)
 		if r.Retired > 0 {
-			if got := p.NextArchSeq() - uint64(r.Retired); got != resume {
+			if got := p.nextArchSeq - uint64(r.Retired); got != resume {
 				t.Fatalf("first retired after resume = %d, want %d", got, resume)
 			}
 			break
@@ -207,7 +207,7 @@ func TestSquashPreservesStoreBuffer(t *testing.T) {
 	p := testMachine()
 	prof := aluProfile()
 	prof.FracStore = 0.5
-	g := workload.New(prof)
+	g := workload.NewOffset(prof, 0)
 	p.SetStream(0, workload.NewStream(g, 0), 0)
 	now := uint64(0)
 	for p.StoreBufLen() == 0 && now < 100000 {
@@ -228,7 +228,7 @@ func TestInstructionCountMatchesStream(t *testing.T) {
 	// In-order retirement must retire exactly seq 0..n-1 with no gaps,
 	// even across a squash/rewind.
 	p := testMachine()
-	g := workload.New(aluProfile())
+	g := workload.NewOffset(aluProfile(), 0)
 	s := workload.NewStream(g, 0)
 	p.SetStream(0, s, 0)
 	now := uint64(0)
@@ -238,8 +238,8 @@ func TestInstructionCountMatchesStream(t *testing.T) {
 		retired += uint64(r.Retired)
 		now++
 	}
-	if p.NextArchSeq() != retired {
-		t.Fatalf("arch seq %d != retired %d (gap or replay)", p.NextArchSeq(), retired)
+	if p.nextArchSeq != retired {
+		t.Fatalf("arch seq %d != retired %d (gap or replay)", p.nextArchSeq, retired)
 	}
 	resume := p.Squash()
 	s.Seek(resume)
@@ -249,8 +249,8 @@ func TestInstructionCountMatchesStream(t *testing.T) {
 		retired += uint64(r.Retired)
 		now++
 	}
-	if p.NextArchSeq() != retired {
-		t.Fatalf("after squash: arch seq %d != retired %d", p.NextArchSeq(), retired)
+	if p.nextArchSeq != retired {
+		t.Fatalf("after squash: arch seq %d != retired %d", p.nextArchSeq, retired)
 	}
 }
 
@@ -270,11 +270,11 @@ func TestBranchMispredictsHurtPerformance(t *testing.T) {
 	if cn <= cc {
 		t.Errorf("noisy branches (%d cycles) should be slower than clean (%d)", cn, cc)
 	}
-	if pn.BranchUnit().MispredictRate() < 0.1 {
-		t.Errorf("noisy mispredict rate = %.3f, expected >= 0.1", pn.BranchUnit().MispredictRate())
+	if pn.bu.MispredictRate() < 0.1 {
+		t.Errorf("noisy mispredict rate = %.3f, expected >= 0.1", pn.bu.MispredictRate())
 	}
-	if pc.BranchUnit().MispredictRate() > 0.05 {
-		t.Errorf("clean mispredict rate = %.3f, expected small", pc.BranchUnit().MispredictRate())
+	if pc.bu.MispredictRate() > 0.05 {
+		t.Errorf("clean mispredict rate = %.3f, expected small", pc.bu.MispredictRate())
 	}
 }
 
@@ -297,7 +297,7 @@ func TestInjectedEventStallsRetirement(t *testing.T) {
 	c1 := run(t, p1, base, 20000)
 
 	p2 := testMachine()
-	g := workload.New(base)
+	g := workload.NewOffset(base, 0)
 	p2.SetStream(0, workload.NewStream(g, 0), 0)
 	p2.SetEvents([]InjectedStall{{AtInstr: 5000, StallCycles: 10000}})
 	var retired uint64
@@ -316,7 +316,7 @@ func TestInjectedEventStallsRetirement(t *testing.T) {
 
 func TestEventsBeforeCheckpointSkipped(t *testing.T) {
 	p := testMachine()
-	g := workload.New(aluProfile())
+	g := workload.NewOffset(aluProfile(), 0)
 	p.SetStream(0, workload.NewStream(g, 1000), 0)
 	p.SetEvents([]InjectedStall{{AtInstr: 10, StallCycles: 1 << 40}})
 	now := uint64(0)
@@ -337,7 +337,7 @@ func TestPauseRetiredReported(t *testing.T) {
 	// uops directly through a tiny custom stream.
 	p := testMachine()
 	prof := aluProfile()
-	g := workload.New(prof)
+	g := workload.NewOffset(prof, 0)
 	p.SetStream(0, workload.NewStream(g, 0), 0)
 	// No pause in builtin mixes; just verify the flag stays false.
 	for now := uint64(0); now < 10000; now++ {
@@ -375,19 +375,19 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for negative penalty")
 	}
-	if p, err := New(bad, nil, nil); err == nil || p != nil {
+	if p, err := NewIn(nil, bad, nil, nil); err == nil || p != nil {
 		t.Fatalf("New must reject invalid config, got (%v, %v)", p, err)
 	}
 }
 
 func TestROBNeverExceedsCapacity(t *testing.T) {
 	p := testMachine()
-	g := workload.New(missyProfile())
+	g := workload.NewOffset(missyProfile(), 0)
 	p.SetStream(0, workload.NewStream(g, 0), 0)
 	for now := uint64(0); now < 100000; now++ {
 		p.Cycle(now)
-		if occ := p.ROBOccupancy(); occ > p.Config().ROBSize {
-			t.Fatalf("ROB occupancy %d exceeds %d", occ, p.Config().ROBSize)
+		if occ := p.ROBOccupancy(); occ > p.cfg.ROBSize {
+			t.Fatalf("ROB occupancy %d exceeds %d", occ, p.cfg.ROBSize)
 		}
 	}
 }
@@ -433,7 +433,7 @@ func TestNopProfileCompletesWithoutRS(t *testing.T) {
 	// ALU), so this exercises rename/retire paths with plain ALU ops
 	// plus manual verification that kind NOP would be accepted: feed
 	// one directly through the fetch queue.
-	g := workload.New(prof)
+	g := workload.NewOffset(prof, 0)
 	p.SetStream(0, workload.NewStream(g, 0), 0)
 	p.push(isa.Uop{Seq: 0, Kind: isa.Nop}, 0, false)
 	r := CycleResult{}
@@ -452,15 +452,14 @@ func TestOccupancyMetrics(t *testing.T) {
 		t.Fatal("no cycles counted")
 	}
 	avgROB := p.Metrics.AvgROBOccupancy()
-	if avgROB <= 0 || avgROB > float64(p.Config().ROBSize) {
+	if avgROB <= 0 || avgROB > float64(p.cfg.ROBSize) {
 		t.Fatalf("avg ROB occupancy %.1f out of range", avgROB)
 	}
-	avgRS := p.Metrics.AvgRSOccupancy()
-	if avgRS < 0 || avgRS > float64(p.Config().RSSize) {
-		t.Fatalf("avg RS occupancy %.1f out of range", avgRS)
+	if rs := p.Metrics.RSOccupancy; rs > p.Metrics.Cycles*uint64(p.cfg.RSSize) {
+		t.Fatalf("RS occupancy %d over %d cycles out of range", rs, p.Metrics.Cycles)
 	}
 	var zero Metrics
-	if zero.AvgROBOccupancy() != 0 || zero.AvgRSOccupancy() != 0 {
+	if zero.AvgROBOccupancy() != 0 {
 		t.Fatal("zero metrics must report zero occupancy")
 	}
 }
@@ -483,7 +482,7 @@ func TestFetchQueueWraparound(t *testing.T) {
 	// Exercise the circular fetch queue across many refills by running
 	// long enough to wrap the queue index many times.
 	p := testMachine()
-	g := workload.New(aluProfile())
+	g := workload.NewOffset(aluProfile(), 0)
 	p.SetStream(0, workload.NewStream(g, 0), 0)
 	var retired uint64
 	for now := uint64(0); retired < 30000; now++ {
@@ -494,7 +493,7 @@ func TestFetchQueueWraparound(t *testing.T) {
 	}
 	// In-order retirement across wraparound is already asserted by the
 	// arch-seq invariant.
-	if p.NextArchSeq() != retired {
-		t.Fatalf("arch seq %d != retired %d after queue wraparound", p.NextArchSeq(), retired)
+	if p.nextArchSeq != retired {
+		t.Fatalf("arch seq %d != retired %d after queue wraparound", p.nextArchSeq, retired)
 	}
 }

@@ -108,9 +108,6 @@ func New(cfg Config) (*Proxy, error) {
 	}, nil
 }
 
-// Observability returns the registry behind /metrics.
-func (p *Proxy) Observability() *obs.Registry { return p.reg }
-
 func (p *Proxy) logf(format string, args ...interface{}) {
 	if p.cfg.Logf != nil {
 		p.cfg.Logf(format, args...)

@@ -38,10 +38,10 @@ func TestProxyHedgesFastTierAfterLatency(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {
 		t.Fatalf("hedge did not cut the latency tail: %s", elapsed)
 	}
-	if got := p.Observability().Counter("proxy.hedges").Load(); got != 1 {
+	if got := p.reg.Counter("proxy.hedges").Load(); got != 1 {
 		t.Fatalf("proxy.hedges = %d, want 1", got)
 	}
-	if got := p.Observability().Counter("proxy.hedge_wins").Load(); got != 1 {
+	if got := p.reg.Counter("proxy.hedge_wins").Load(); got != 1 {
 		t.Fatalf("proxy.hedge_wins = %d, want 1", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestProxyShedsWithRetryAfterWhenFleetUnreachable(t *testing.T) {
 	if !sawBreakerShed {
 		t.Fatal("breaker never tripped across 5 failed submissions")
 	}
-	if got := p.Observability().Counter("proxy.shed").Load(); got != 5 {
+	if got := p.reg.Counter("proxy.shed").Load(); got != 5 {
 		t.Fatalf("proxy.shed = %d, want 5", got)
 	}
 }

@@ -25,11 +25,6 @@ func (h *HTML) Text(format string, args ...interface{}) {
 	h.sections = append(h.sections, "<p>"+esc(fmt.Sprintf(format, args...))+"</p>")
 }
 
-// Pre adds preformatted text (e.g. an ASCII table as-is).
-func (h *HTML) Pre(s string) {
-	h.sections = append(h.sections, "<pre>"+esc(s)+"</pre>")
-}
-
 // Chart embeds a line chart.
 func (h *HTML) Chart(c *Chart) {
 	h.sections = append(h.sections, c.SVG())

@@ -47,7 +47,7 @@ func TestChartSVG(t *testing.T) {
 			t.Errorf("SVG missing %q", want)
 		}
 	}
-	if c.NumSeries() != 2 {
+	if len(c.series) != 2 {
 		t.Error("series count")
 	}
 }
@@ -102,7 +102,7 @@ func TestBarChartSVG(t *testing.T) {
 	if !strings.Contains(svg, "rect") || !strings.Contains(svg, "swim:swim") {
 		t.Error("bar chart incomplete")
 	}
-	if bc.NumSeries() != 2 {
+	if len(bc.series) != 2 {
 		t.Error("series count")
 	}
 }
@@ -124,7 +124,6 @@ func TestHTMLRender(t *testing.T) {
 	h := &HTML{Title: "SOE report"}
 	h.Heading("Figure 6")
 	h.Text("measured at %s scale", "quick")
-	h.Pre("raw | table")
 	c := &Chart{Title: "c"}
 	c.Add("s", []float64{0, 1}, []float64{1, 2})
 	h.Chart(c)

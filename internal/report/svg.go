@@ -41,9 +41,6 @@ func (c *Chart) Add(name string, x, y []float64) error {
 	return nil
 }
 
-// NumSeries returns the number of series added.
-func (c *Chart) NumSeries() int { return len(c.series) }
-
 const (
 	marginL = 60
 	marginR = 16
@@ -172,9 +169,6 @@ func (bc *BarChart) Add(name string, y []float64) error {
 	bc.series = append(bc.series, BarSeries{Name: name, Y: y})
 	return nil
 }
-
-// NumSeries returns the number of series added.
-func (bc *BarChart) NumSeries() int { return len(bc.series) }
 
 // SVG renders the grouped bar chart.
 func (bc *BarChart) SVG() string {

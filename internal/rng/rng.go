@@ -83,11 +83,6 @@ func (s *Stream) Uint64() uint64 {
 	return mix(s.state)
 }
 
-// Float64 returns the next value as a uniform float64 in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
 // Intn returns a uniform integer in [0, n). n must be positive.
 // It shares IntnAt's documented modulo bias (< n/2^64, negligible for
 // the small n used here) and its stability contract: the stream is
@@ -97,17 +92,6 @@ func (s *Stream) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	return int(s.Uint64() % uint64(n))
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Sub derives an independent child seed from a parent seed and a label.

@@ -107,23 +107,6 @@ func TestStreamIntnPanics(t *testing.T) {
 	NewStream(1).Intn(-1)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := NewStream(5)
-	for _, n := range []int{0, 1, 2, 16, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) not a permutation: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSubLabelsIndependent(t *testing.T) {
 	a := Sub(1, "addresses")
 	b := Sub(1, "branches")

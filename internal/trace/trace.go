@@ -97,13 +97,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// NewStream builds the workload stream the trace describes, positioned
-// at the checkpoint.
-func (t *Trace) NewStream() *workload.Stream {
-	g := workload.NewOffset(t.Profile, int(t.Checkpoint.Slot))
-	return workload.NewStream(g, t.Checkpoint.StartSeq)
-}
-
 // --- binary format -------------------------------------------------------
 
 // The format is little-endian:

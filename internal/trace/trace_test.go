@@ -125,9 +125,16 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
+// checkpointStream builds the workload stream a trace describes, as
+// soesim -trace does through sim.ThreadSpec: the profile in the
+// checkpoint's slot, positioned at its start sequence number.
+func checkpointStream(tr *Trace) *workload.Stream {
+	return workload.NewStream(workload.NewOffset(tr.Profile, int(tr.Checkpoint.Slot)), tr.Checkpoint.StartSeq)
+}
+
 func TestNewStreamStartsAtCheckpoint(t *testing.T) {
 	tr := sampleTrace()
-	s := tr.NewStream()
+	s := checkpointStream(tr)
 	if s.Pos() != tr.Checkpoint.StartSeq {
 		t.Fatalf("stream pos = %d, want %d", s.Pos(), tr.Checkpoint.StartSeq)
 	}
@@ -138,7 +145,7 @@ func TestNewStreamStartsAtCheckpoint(t *testing.T) {
 	// Slot must shift the address space: compare against slot 0.
 	tr0 := sampleTrace()
 	tr0.Checkpoint.Slot = 0
-	s0 := tr0.NewStream()
+	s0 := checkpointStream(tr0)
 	// Find a mem op in each and compare bases (top bits differ).
 	var a1, a0 uint64
 	for i := 0; i < 10000 && (a1 == 0 || a0 == 0); i++ {

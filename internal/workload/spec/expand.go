@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"soemt/internal/rng"
-	"soemt/internal/workload"
 )
 
 // Request is one scheduled submission: a workload entry resolved for
@@ -224,29 +223,4 @@ func (s *Spec) SweepPairs() (pairs []string, skipped int, err error) {
 	}
 	sort.Strings(pairs)
 	return pairs, skipped, nil
-}
-
-// CellProfiles resolves the workload profiles behind a matrix cell,
-// with any phase overlays applied — the local-execution bridge for
-// cells that cannot travel over the wire. The overlay is looked up
-// from the first entry matching the cell's target.
-func (s *Spec) CellProfiles(c Cell) ([]workload.Profile, error) {
-	target := targetOf(c.Pair, c.Bench)
-	for _, cl := range s.Clients {
-		for _, e := range cl.Workloads {
-			if targetOf(e.Pair, e.Bench) != target {
-				continue
-			}
-			var out []workload.Profile
-			for _, n := range e.names() {
-				p, err := s.overlaid(n, e.Phases)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, p)
-			}
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("spec %s: no entry generates cell %s", s.Name, target)
 }

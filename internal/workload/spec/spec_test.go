@@ -230,18 +230,15 @@ func TestCellProfilesAppliesOverlay(t *testing.T) {
 	if !target.Overlaid {
 		t.Fatal("gcc:mcf cell should be marked overlaid")
 	}
-	profs, err := s.CellProfiles(target)
+	prof, err := s.overlaid("gcc", overlay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(profs) != 2 {
-		t.Fatalf("got %d profiles, want 2", len(profs))
-	}
 	base, _ := workload.ByName("gcc")
-	if len(profs[0].Phases) != len(base.Phases)+1 {
-		t.Fatalf("overlay not appended: %d phases, want %d", len(profs[0].Phases), len(base.Phases)+1)
+	if len(prof.Phases) != len(base.Phases)+1 {
+		t.Fatalf("overlay not appended: %d phases, want %d", len(prof.Phases), len(base.Phases)+1)
 	}
-	last := profs[0].Phases[len(profs[0].Phases)-1]
+	last := prof.Phases[len(prof.Phases)-1]
 	if last != overlay[0] {
 		t.Fatalf("appended phase %+v, want %+v", last, overlay[0])
 	}

@@ -210,10 +210,6 @@ var kindOrder = [9]isa.Kind{
 	isa.Load, isa.Store, isa.Branch, isa.Mul, isa.Div, isa.FAdd, isa.FMul, isa.FDiv, isa.Pause,
 }
 
-// New builds a Generator for prof with address space offset 0.
-// It panics if the profile is invalid (configuration error).
-func New(prof Profile) *Generator { return NewOffset(prof, 0) }
-
 // NewOffset builds a Generator whose data and code regions are placed
 // in a distinct address-space slot, so that multiple threads running
 // the same profile do not share data (the paper's same-benchmark pairs
@@ -262,9 +258,6 @@ func NewOffset(prof Profile, slot int) *Generator {
 	g.coldBase = base + 0x40_0000_0000 + 7*skew
 	return g
 }
-
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
 
 // Regions describes the generator's address-space layout, used by the
 // simulator's functional cache warmup to bring the resident working
@@ -505,9 +498,6 @@ func (s *Stream) Pos() uint64 { return s.next }
 
 // Seek repositions the cursor.
 func (s *Stream) Seek(seq uint64) { s.next = seq }
-
-// Generator returns the underlying generator.
-func (s *Stream) Generator() *Generator { return s.gen }
 
 // CopyFrom repositions s exactly like src, memoized micro-op included.
 // s keeps its own generator, which must expand the same profile in the

@@ -19,8 +19,8 @@ func basicProfile() Profile {
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
-	g1 := New(basicProfile())
-	g2 := New(basicProfile())
+	g1 := NewOffset(basicProfile(), 0)
+	g2 := NewOffset(basicProfile(), 0)
 	for i := uint64(0); i < 10000; i++ {
 		if g1.At(i) != g2.At(i) {
 			t.Fatalf("generators diverged at %d", i)
@@ -29,7 +29,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 }
 
 func TestGeneratorPureFunction(t *testing.T) {
-	g := New(basicProfile())
+	g := NewOffset(basicProfile(), 0)
 	// Reading out of order and repeatedly must not change results.
 	u1 := g.At(5000)
 	for i := uint64(0); i < 1000; i++ {
@@ -42,7 +42,7 @@ func TestGeneratorPureFunction(t *testing.T) {
 
 func TestInstructionMixConverges(t *testing.T) {
 	p := basicProfile()
-	g := New(p)
+	g := NewOffset(p, 0)
 	const n = 200000
 	var counts [isa.NumKinds]int
 	for i := uint64(0); i < n; i++ {
@@ -62,8 +62,8 @@ func TestInstructionMixConverges(t *testing.T) {
 }
 
 func TestAddressesWithinRegions(t *testing.T) {
-	g := New(basicProfile())
-	p := g.Profile()
+	g := NewOffset(basicProfile(), 0)
+	p := g.prof
 	for i := uint64(0); i < 100000; i++ {
 		u := g.At(i)
 		if !u.Kind.IsMem() {
@@ -82,7 +82,7 @@ func TestAddressesWithinRegions(t *testing.T) {
 func TestColdFractionApproximatesPCold(t *testing.T) {
 	p := basicProfile()
 	p.PCold = 0.01
-	g := New(p)
+	g := NewOffset(p, 0)
 	mem, cold := 0, 0
 	for i := uint64(0); i < 500000; i++ {
 		u := g.At(i)
@@ -134,7 +134,7 @@ func TestPageTableTagDoesNotCollide(t *testing.T) {
 
 func TestBranchBackedgeAlwaysTaken(t *testing.T) {
 	p := basicProfile()
-	g := New(p)
+	g := NewOffset(p, 0)
 	found := false
 	for i := uint64(0); i < 100000; i++ {
 		u := g.At(i)
@@ -154,7 +154,7 @@ func TestBranchBackedgeAlwaysTaken(t *testing.T) {
 }
 
 func TestBranchOutcomesDeterministic(t *testing.T) {
-	g := New(basicProfile())
+	g := NewOffset(basicProfile(), 0)
 	for i := uint64(0); i < 50000; i++ {
 		u := g.At(i)
 		if u.Kind == isa.Branch && g.At(i).Taken != u.Taken {
@@ -167,7 +167,7 @@ func TestBranchBiasNearConfigured(t *testing.T) {
 	p := basicProfile()
 	p.TakenBias = 0.8
 	p.NoiseFrac = 0
-	g := New(p)
+	g := NewOffset(p, 0)
 	taken, total := 0, 0
 	for i := uint64(0); i < 400000; i++ {
 		u := g.At(i)
@@ -194,7 +194,7 @@ func TestPhaseScalingChangesColdRate(t *testing.T) {
 		{Len: 100000, ColdScale: 1, IlpScale: 1},
 		{Len: 100000, ColdScale: 10, IlpScale: 1},
 	}
-	g := New(p)
+	g := NewOffset(p, 0)
 	coldIn := func(lo, hi uint64) float64 {
 		mem, cold := 0, 0
 		for i := lo; i < hi; i++ {
@@ -306,7 +306,7 @@ func TestValidateRejectsBadPhaseScales(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("valid phased profile rejected: %v", err)
 	}
-	g := New(p)
+	g := NewOffset(p, 0)
 	pc, cf := g.phaseAt(0)
 	if math.Abs(pc-0.2) > 1e-12 || math.Abs(cf-p.ChainFrac*1.5) > 1e-12 {
 		t.Fatalf("phaseAt = (%v, %v), want exact scaled values", pc, cf)
@@ -324,7 +324,7 @@ func TestBuiltinProfilesValidate(t *testing.T) {
 }
 
 func TestSrcRegistersEncodeDependenceDistance(t *testing.T) {
-	g := New(basicProfile())
+	g := NewOffset(basicProfile(), 0)
 	for i := uint64(100); i < 1000; i++ {
 		u := g.At(i)
 		if u.Src1 == isa.RegNone {
@@ -342,7 +342,7 @@ func TestSrcRegistersEncodeDependenceDistance(t *testing.T) {
 }
 
 func TestEarlyStreamNoUnderflow(t *testing.T) {
-	g := New(basicProfile())
+	g := NewOffset(basicProfile(), 0)
 	// Sequence numbers near zero must not panic or wrap.
 	for i := uint64(0); i < 64; i++ {
 		u := g.At(i)
@@ -353,7 +353,7 @@ func TestEarlyStreamNoUnderflow(t *testing.T) {
 }
 
 func TestStreamSeekAndNext(t *testing.T) {
-	g := New(basicProfile())
+	g := NewOffset(basicProfile(), 0)
 	s := NewStream(g, 0)
 	var first []isa.Uop
 	for i := 0; i < 100; i++ {
@@ -369,7 +369,7 @@ func TestStreamSeekAndNext(t *testing.T) {
 			t.Fatalf("replay mismatch at %d", 50+i)
 		}
 	}
-	if s.Generator() != g {
+	if s.gen != g {
 		t.Fatal("Generator accessor wrong")
 	}
 }
@@ -404,7 +404,7 @@ func TestNewPanicsOnInvalidProfile(t *testing.T) {
 	}()
 	p := basicProfile()
 	p.DepWindow = 0
-	New(p)
+	NewOffset(p, 0)
 }
 
 func TestBuiltinProfilesValid(t *testing.T) {
@@ -424,7 +424,7 @@ func TestBuiltinProfilesValid(t *testing.T) {
 			t.Errorf("builtin %q invalid: %v", n, err)
 		}
 		// Each profile must construct a usable generator.
-		g := New(p)
+		g := NewOffset(p, 0)
 		for i := uint64(0); i < 1000; i++ {
 			g.At(i)
 		}
@@ -456,7 +456,7 @@ func TestStridedColdAccessesShareLines(t *testing.T) {
 	p.PCold = 1 // all accesses cold
 	p.PWarm = 0
 	p.StrideFrac = 1 // all strided
-	g := New(p)
+	g := NewOffset(p, 0)
 	lines := map[uint64]int{}
 	memRefs := 0
 	for i := uint64(0); i < 10000; i++ {
@@ -477,7 +477,7 @@ func TestColdWindowSlidesAcrossEpochs(t *testing.T) {
 	p.PWarm = 0
 	p.StrideFrac = 0
 	p.ColdBytes = 256 << 20
-	g := New(p)
+	g := NewOffset(p, 0)
 	// Collect the cold-address footprint of two consecutive epochs.
 	footprint := func(lo, hi uint64) (min, max uint64) {
 		min, max = ^uint64(0), 0
@@ -516,7 +516,7 @@ func TestColdWindowPageFootprintBounded(t *testing.T) {
 	p.PWarm = 0
 	p.StrideFrac = 0
 	p.ColdBytes = 256 << 20
-	g := New(p)
+	g := NewOffset(p, 0)
 	pages := map[uint64]bool{}
 	for i := uint64(0); i < 100_000; i++ { // within one epoch
 		u := g.At(i)
@@ -533,7 +533,7 @@ func TestColdWindowPageFootprintBounded(t *testing.T) {
 func TestPauseMixGeneratesPause(t *testing.T) {
 	p := basicProfile()
 	p.FracPause = 0.05
-	g := New(p)
+	g := NewOffset(p, 0)
 	count := 0
 	for i := uint64(0); i < 100_000; i++ {
 		u := g.At(i)
