@@ -10,7 +10,10 @@
 #      nodes is served by verified peer fill, not re-simulation;
 #   3. resilience — kill -9 one node mid-burst, re-burst, and the
 #      survivors absorb its keys with zero responses outside
-#      {2xx, 429} and the invariant intact (survivor runs == 10).
+#      {2xx, 429} and the invariant intact (survivor runs == 10);
+#   4. the fast tier through the gateway — after burst 1 and again
+#      after the kill, ten distinct tier=fast specs each answer 200
+#      and start no simulation anywhere in the fleet.
 #
 #   ci/cluster_smoke.sh
 set -euo pipefail
@@ -69,6 +72,10 @@ spec() { # spec <i> -> request body for distinct spec i of 10
     awk -v i="$1" 'BEGIN{printf "{\"pair\":\"gcc:eon\",\"f\":%.6f,\"scale\":\"tiny\"}", i/11}'
 }
 
+fast_spec() { # fast_spec <i> -> spec i at tier=fast
+    awk -v i="$1" 'BEGIN{printf "{\"pair\":\"gcc:eon\",\"f\":%.6f,\"scale\":\"tiny\",\"tier\":\"fast\"}", i/11}'
+}
+
 # burst <tag>: 10 distinct specs x 10 duplicates, all concurrent,
 # through the gateway. Each curl records its HTTP status to its own
 # file so a dying backend mid-burst cannot corrupt the tally.
@@ -104,6 +111,29 @@ check_codes() {
     done
 }
 
+# fast_phase <tag> <node addr...>: ten distinct tier=fast specs through
+# the gateway, one at a time. The fast tier answers from the analytical
+# model, so each must be 200 and the nodes' runs_started must not move.
+fast_phase() {
+    local tag=$1 i code before after
+    shift
+    before=$(sum_metric runner.runs_started "$@")
+    for i in $(seq 1 10); do
+        code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+            "http://$PROXY/v1/run" -d "$(fast_spec "$i")")
+        if [ "$code" != 200 ]; then
+            echo "cluster_smoke: FAIL — $tag: tier=fast spec $i got HTTP ${code:-none}, want 200" >&2
+            exit 1
+        fi
+    done
+    after=$(sum_metric runner.runs_started "$@")
+    echo "cluster_smoke: $tag — 10 tier=fast answers, runs_started $before -> $after"
+    if [ "$after" != "$before" ]; then
+        echo "cluster_smoke: FAIL — tier=fast must not simulate (runs_started went $before -> $after)" >&2
+        exit 1
+    fi
+}
+
 wait_idle() { # wait_idle <addr...>
     local addr pending
     for i in $(seq 1 240); do
@@ -133,6 +163,7 @@ if [ "$runs" != 10 ]; then
     echo "cluster_smoke: FAIL — 10 distinct specs must simulate exactly 10 times fleet-wide, got $runs" >&2
     exit 1
 fi
+fast_phase "fast after burst 1" "$N1" "$N2" "$N3"
 
 # --- phase 2: peer cache fill ---------------------------------------
 # Submit one already-simulated spec DIRECTLY to every node. The owner
@@ -180,6 +211,8 @@ if [ "$runs" != 10 ]; then
     echo "cluster_smoke: FAIL — survivors must absorb the dead node's keys exactly once (want 10, got $runs)" >&2
     exit 1
 fi
+# The dead node's fast keys must walk on to a survivor too.
+fast_phase "fast after kill" "$N1" "$N3"
 
 "$WORK/soeproxy" -status -addr "$PROXY" | tee "$WORK/status.json"
 if ! grep -q '"proxy.retries"' "$WORK/status.json"; then

@@ -1,8 +1,8 @@
 // Command soeproxy is the cluster gateway for a fleet of soeserve
 // nodes: it routes submissions by content-addressed fingerprint,
-// retries on ring successors when a node or its circuit breaker
-// fails, hedges synchronous tier=fast requests against the latency
-// tail, and sheds load with deterministic 429/503 + Retry-After.
+// retries every tier on ring successors when a node or its circuit
+// breaker fails, and sheds load with deterministic 429/503 +
+// Retry-After.
 //
 //	soeproxy -addr :8090 -nodes http://n1:8080,http://n2:8080,http://n3:8080
 //
@@ -36,8 +36,6 @@ func main() {
 		addr          = flag.String("addr", ":8090", "listen address (or, with -status, the gateway to query)")
 		nodes         = flag.String("nodes", "", "comma-separated soeserve base URLs (required unless -status)")
 		status        = flag.Bool("status", false, "print the gateway's /status JSON and exit")
-		maxAttempts   = flag.Int("retries", 0, "max ring candidates per submission, first attempt included (0 = all)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "fixed latency before hedging a tier=fast request (0 = adaptive p95)")
 		maxBody       = flag.Int64("max-body", 1<<20, "max request body bytes (413 beyond)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "node /healthz probe interval")
 		reqTimeout    = flag.Duration("node-timeout", 15*time.Second, "per-node request timeout")
@@ -70,8 +68,6 @@ func main() {
 	}
 	px, err := proxy.New(proxy.Config{
 		Cluster:      cl,
-		MaxAttempts:  *maxAttempts,
-		HedgeAfter:   *hedgeAfter,
 		MaxBodyBytes: *maxBody,
 		Registry:     reg,
 		Logf:         log.Printf,

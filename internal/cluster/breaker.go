@@ -15,7 +15,7 @@ const (
 )
 
 // Breaker is a per-node circuit breaker. It trips open after
-// TripAfter consecutive failures, refuses traffic for a jittered
+// tripAfter consecutive failures, refuses traffic for a jittered
 // exponentially-growing backoff (never shorter than the node's own
 // Retry-After, when one was sent), then admits exactly one half-open
 // probe; the probe's outcome closes the breaker or re-opens it with a
@@ -39,21 +39,10 @@ type Breaker struct {
 	until   time.Time
 }
 
-// newBreaker builds a breaker; zero parameters select the defaults
-// (trip after 3, backoff 250ms..30s).
+// newBreaker builds a closed breaker that trips after tripAfter
+// consecutive failures and backs off from base up to max. now is its
+// clock (tests pass a fake one).
 func newBreaker(tripAfter int, base, max time.Duration, seed uint64, now func() time.Time) *Breaker {
-	if tripAfter <= 0 {
-		tripAfter = 3
-	}
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 30 * time.Second
-	}
-	if now == nil {
-		now = time.Now
-	}
 	return &Breaker{tripAfter: tripAfter, base: base, max: max, seed: seed, now: now, state: BreakerClosed}
 }
 

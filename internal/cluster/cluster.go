@@ -27,7 +27,7 @@ const (
 	// routed to (after healthy candidates) because a single dropped
 	// probe must not amputate a live node.
 	Suspect
-	// Dead nodes failed DeadAfter consecutive probes and are excluded
+	// Dead nodes failed deadAfter consecutive probes and are excluded
 	// from routing until a probe succeeds again.
 	Dead
 )
@@ -52,28 +52,12 @@ type Config struct {
 	// Nodes lists every member's base URL (including Self, when set).
 	// All processes must agree on this list for routing to agree.
 	Nodes []string
-	// VNodes is the virtual points per node on the ring. Default 64.
-	VNodes int
-	// TripAfter is the consecutive-failure count that opens a node's
-	// breaker. Default 3.
-	TripAfter int
-	// DeadAfter is the consecutive failed /healthz probes that mark a
-	// node Dead (the first failure marks it Suspect). Default 3.
-	DeadAfter int
-	// BaseBackoff/MaxBackoff bound the breaker's jittered exponential
-	// backoff. Defaults 250ms / 30s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// ProbeInterval spaces the /healthz probe rounds started by
 	// StartProbes. Default 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request. Default 1s.
-	ProbeTimeout time.Duration
 	// RequestTimeout bounds one data-path request when the caller's ctx
 	// carries no earlier deadline. Default 15s.
 	RequestTimeout time.Duration
-	// Seed makes breaker jitter deterministic. Default 1.
-	Seed uint64
 	// Transport is the HTTP transport for all cluster traffic; chaos
 	// tests wrap it with faultinject.RoundTripper. Defaults to
 	// http.DefaultTransport.
@@ -82,43 +66,28 @@ type Config struct {
 	Registry *obs.Registry
 	// Logf, if non-nil, receives state-transition log lines.
 	Logf func(format string, args ...interface{})
-
-	now func() time.Time // test hook
 }
 
+// The ring and breaker parameters are constants: every process in a
+// fleet must place keys alike, and no deployment tunes them.
+const (
+	tripAfter    = 3                      // consecutive failures that open a node's breaker
+	deadAfter    = 3                      // consecutive failed probes that mark a node Dead
+	baseBackoff  = 250 * time.Millisecond // first breaker backoff, before jitter
+	maxBackoff   = 30 * time.Second       // breaker backoff cap
+	probeTimeout = time.Second            // bound on one /healthz probe
+	breakerSeed  = 1                      // jitter seed of the first node's breaker; node i uses breakerSeed+i
+)
+
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.TripAfter <= 0 {
-		c.TripAfter = 3
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 250 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 30 * time.Second
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Second
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
-	}
-	if c.now == nil {
-		c.now = time.Now
 	}
 	return c
 }
@@ -179,7 +148,7 @@ type Cluster struct {
 // itself — but an empty node list is an error.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	ring := NewRing(cfg.Nodes, cfg.VNodes)
+	ring := NewRing(cfg.Nodes)
 	if len(ring.Nodes()) == 0 {
 		return nil, errors.New("cluster: no nodes configured")
 	}
@@ -212,7 +181,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i, u := range ring.Nodes() {
 		c.nodes[u] = &node{
 			url:     u,
-			breaker: newBreaker(cfg.TripAfter, cfg.BaseBackoff, cfg.MaxBackoff, cfg.Seed+uint64(i), cfg.now),
+			breaker: newBreaker(tripAfter, baseBackoff, maxBackoff, breakerSeed+uint64(i), time.Now),
 		}
 	}
 	c.publishHealthGauges()
@@ -288,7 +257,7 @@ func retryAfterFrom(resp *http.Response) time.Duration {
 //
 //   - a refusing breaker returns *ErrBreakerOpen without dialing;
 //   - transport errors and 5xx responses count as failures (trips
-//     after TripAfter in a row) — the 5xx response is still returned
+//     after tripAfter in a row) — the 5xx response is still returned
 //     to the caller alongside a nil error so it can relay or retry;
 //   - 429/503 count as failures too, seeding the breaker's open
 //     duration with the node's own Retry-After: an overloaded node
@@ -351,7 +320,7 @@ func (c *Cluster) noteFailure(n *node, retryAfter time.Duration, cause string) {
 
 // ProbeAll runs one /healthz round over every node except Self,
 // sequentially, and updates health states: success → Healthy, failure
-// → Suspect, DeadAfter consecutive failures → Dead. A node's /healthz
+// → Suspect, deadAfter consecutive failures → Dead. A node's /healthz
 // answers 503 while draining, so a draining peer organically leaves
 // the routable set before it stops accepting work.
 func (c *Cluster) ProbeAll(ctx context.Context) {
@@ -369,7 +338,7 @@ func (c *Cluster) probeOne(ctx context.Context, url string) {
 	if n == nil {
 		return
 	}
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, url+"/healthz", nil)
 	if err != nil {
@@ -390,7 +359,7 @@ func (c *Cluster) probeOne(ctx context.Context, url string) {
 func (c *Cluster) noteProbe(n *node, err error) {
 	n.mu.Lock()
 	prev := n.health
-	n.lastProbe = c.cfg.now()
+	n.lastProbe = time.Now()
 	if err == nil {
 		n.health = Healthy
 		n.probeFail = 0
@@ -398,7 +367,7 @@ func (c *Cluster) noteProbe(n *node, err error) {
 	} else {
 		n.probeFail++
 		n.lastErr = err.Error()
-		if n.probeFail >= c.cfg.DeadAfter {
+		if n.probeFail >= deadAfter {
 			n.health = Dead
 		} else {
 			n.health = Suspect

@@ -36,7 +36,7 @@ func TestProbesDriveHealthStates(t *testing.T) {
 	defer ts.Close()
 
 	reg := obs.NewRegistry()
-	c := testCluster(t, Config{Nodes: []string{ts.URL}, DeadAfter: 3, Registry: reg})
+	c := testCluster(t, Config{Nodes: []string{ts.URL}, Registry: reg})
 
 	ctx := context.Background()
 	c.ProbeAll(ctx)
@@ -102,13 +102,9 @@ func TestRoundTripBreakerLifecycle(t *testing.T) {
 	defer ts.Close()
 
 	reg := obs.NewRegistry()
-	c := testCluster(t, Config{
-		Nodes:       []string{ts.URL},
-		TripAfter:   3,
-		BaseBackoff: 20 * time.Millisecond,
-		MaxBackoff:  40 * time.Millisecond,
-		Registry:    reg,
-	})
+	c := testCluster(t, Config{Nodes: []string{ts.URL}, Registry: reg})
+	// Short backoffs, so the half-open probe comes within the test.
+	c.node(ts.URL).breaker = newBreaker(3, 20*time.Millisecond, 40*time.Millisecond, 1, time.Now)
 	ctx := context.Background()
 
 	// Three 5xx in a row trip the breaker.
@@ -166,7 +162,9 @@ func TestRoundTrip429SeedsBackoffWithRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := testCluster(t, Config{Nodes: []string{ts.URL}, TripAfter: 1, BaseBackoff: time.Millisecond})
+	c := testCluster(t, Config{Nodes: []string{ts.URL}})
+	// Trip on the first failure with a backoff far under the 7s asked for.
+	c.node(ts.URL).breaker = newBreaker(1, time.Millisecond, maxBackoff, 1, time.Now)
 	resp, err := c.RoundTrip(context.Background(), ts.URL, "POST", "/v1/run", []byte(`{}`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +172,7 @@ func TestRoundTrip429SeedsBackoffWithRetryAfter(t *testing.T) {
 	resp.Body.Close()
 	st, rem := c.node(ts.URL).breaker.State()
 	if st != BreakerOpen {
-		t.Fatalf("breaker after 429 (TripAfter=1) = %s, want open", st)
+		t.Fatalf("breaker after 429 (trip after 1) = %s, want open", st)
 	}
 	// The open duration must honor the node's Retry-After (7s), not the
 	// 1ms exponential backoff.

@@ -28,7 +28,7 @@ import (
 )
 
 // Ring is an immutable consistent-hash ring: every node contributes
-// VNodes points on a 64-bit circle, and a key is owned by the first
+// vnodes points on a 64-bit circle, and a key is owned by the first
 // point at or after its hash. Adding or removing one node moves only
 // the keys that node owned — the property that keeps a node death from
 // reshuffling the whole fleet's caches.
@@ -53,15 +53,15 @@ func hash64(s string) uint64 {
 	return rng.Mix64(h.Sum64())
 }
 
+// vnodes is the number of virtual points each node contributes to the
+// ring.
+const vnodes = 64
+
 // NewRing builds a ring over the given node names (base URLs, by
-// convention) with vnodes virtual points per node (<= 0 selects the
-// default 64). Duplicate names are collapsed; order of first
+// convention). Duplicate names are collapsed; order of first
 // appearance is preserved and is the tie-break order, so every process
 // configured with the same node list derives the same ring.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+func NewRing(nodes []string) *Ring {
 	r := &Ring{}
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {

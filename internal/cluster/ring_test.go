@@ -8,8 +8,8 @@ import (
 
 func TestRingDeterministicAcrossProcessesAndOrderings(t *testing.T) {
 	nodes := []string{"http://n1:8081", "http://n2:8082", "http://n3:8083"}
-	a := NewRing(nodes, 64)
-	b := NewRing(nodes, 64) // a second "process" with the same config
+	a := NewRing(nodes)
+	b := NewRing(nodes) // a second "process" with the same config
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("fingerprint-%d", i)
 		if a.Owner(key) != b.Owner(key) {
@@ -23,7 +23,7 @@ func TestRingDeterministicAcrossProcessesAndOrderings(t *testing.T) {
 
 func TestRingPreferenceCoversAllNodesOnceOwnerFirst(t *testing.T) {
 	nodes := []string{"http://n1:8081", "http://n2:8082", "http://n3:8083"}
-	r := NewRing(nodes, 64)
+	r := NewRing(nodes)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%d", i)
 		pref := r.Preference(key)
@@ -47,8 +47,8 @@ func TestRingPreferenceCoversAllNodesOnceOwnerFirst(t *testing.T) {
 // key's owner is unchanged. This is the property that keeps a node
 // death from invalidating the surviving nodes' caches.
 func TestRingNodeRemovalMovesOnlyItsKeys(t *testing.T) {
-	full := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 64)
-	minusN3 := NewRing([]string{"http://n1", "http://n2"}, 64)
+	full := NewRing([]string{"http://n1", "http://n2", "http://n3"})
+	minusN3 := NewRing([]string{"http://n1", "http://n2"})
 	moved, kept := 0, 0
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("spec-%d", i)
@@ -76,7 +76,7 @@ func TestRingNodeRemovalMovesOnlyItsKeys(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"http://n1", "http://n2", "http://n3"}
-	r := NewRing(nodes, 64)
+	r := NewRing(nodes)
 	counts := map[string]int{}
 	const total = 3000
 	for i := 0; i < total; i++ {
@@ -91,10 +91,10 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingDegenerateInputs(t *testing.T) {
-	if o := NewRing(nil, 64).Owner("k"); o != "" {
+	if o := NewRing(nil).Owner("k"); o != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", o)
 	}
-	r := NewRing([]string{"http://a", "", "http://a"}, 8)
+	r := NewRing([]string{"http://a", "", "http://a"})
 	if len(r.Nodes()) != 1 {
 		t.Fatalf("dedup failed: %v", r.Nodes())
 	}

@@ -15,27 +15,9 @@ package core
 import (
 	"math"
 
+	"soemt/internal/model"
 	"soemt/internal/stats"
 )
-
-// IPSwQuota evaluates Eq. 9 for one thread:
-//
-//	IPSw_j = min(IPM_j, IPC_ST_j/F · (CPM_min + Miss_lat))
-//
-// F is the target fairness in (0, 1]. A non-positive return means the
-// thread needs no forced switches (it switches on misses at least as
-// often as the quota would demand). No program calls this pair form:
-// it is the reference that tests check the N-thread quotas against.
-func IPSwQuota(ipmJ, ipcSTJ, cpmMin, missLat, f float64) float64 {
-	if f <= 0 {
-		return 0
-	}
-	q := ipcSTJ / f * (cpmMin + missLat)
-	if ipmJ < q {
-		return ipmJ
-	}
-	return q
-}
 
 // ThreadSample is the per-thread view a Policy receives each sampling
 // period: the windowed hardware counters plus derived rates.
@@ -83,26 +65,12 @@ type Fairness struct {
 // Name implements Policy.
 func (p Fairness) Name() string { return "fairness" }
 
-// Quotas implements Policy. The paper states Eq. 9 for two threads:
-//
-//	IPSw_j = min(IPM_j, IPC_ST_j/F · (CPM_min + Miss_lat))
-//
-// where (CPM_min + Miss_lat) bounds the cycles thread j spends
-// switched out between two of its visits: its single co-runner
-// executes for at least CPM_min cycles before its own miss, whose
-// resolution costs at most Miss_lat more. With N threads, j waits for
-// N-1 co-runner visits per round, so the wait term generalizes to
-//
-//	(N-1)·CPM_min + Miss_lat
-//
-// (the co-runners' miss latencies overlap each other's execution; only
-// the last unoverlapped resolution is charged). For N = 2 the factor
-// is 1 and the formula reduces exactly to the paper's — the N = 2
-// differential suite in internal/sim pins this bit-identically against
-// the seed pair engine. Before this generalization the implementation
-// silently used the two-thread wait term for every N, under-budgeting
-// the quota by up to (N-1)× and over-forcing switches on N ≥ 3 runs
-// (see TestFairnessQuotasThreeSampleNAware).
+// Quotas implements Policy: Eq. 9 (model.IPSw) for every thread that
+// ran this window, with the N-thread wait term (N-1)·CPM_min +
+// Miss_lat. For N = 2 it is the paper's pair formula exactly — the
+// N = 2 differential suite in internal/sim pins this bit-identically
+// against the seed pair engine; TestFairnessQuotasThreeSampleNAware
+// pins the N = 3 budget.
 func (p Fairness) Quotas(samples []ThreadSample, missLat float64) []float64 {
 	q := make([]float64, len(samples))
 	if len(samples) < 2 || p.F <= 0 {
@@ -120,21 +88,18 @@ func (p Fairness) Quotas(samples []ThreadSample, missLat float64) []float64 {
 	if math.IsInf(cpmMin, 1) {
 		return q
 	}
-	wait := float64(len(samples)-1)*cpmMin + missLat
 	for i, s := range samples {
 		if s.Window.Cycles == 0 {
 			continue
 		}
-		// Eq. 9: IPSw_j = min(IPM_j, IPC_ST_j/F · wait).
-		// When the formula reaches IPM_j, miss-induced switches alone
+		// When Eq. 9 reaches IPM_j, miss-induced switches alone
 		// already produce that average ("there is no way to increase
 		// IPSw_j to a value greater than IPM_j"), so no forced switch
 		// points are needed — enforcing IPM_j with a deficit counter
 		// would instead fire in every shorter-than-average miss gap
 		// and penalize naturally fair pairs.
-		raw := s.EstST / p.F * wait
-		if raw < s.IPM {
-			q[i] = raw
+		if ipsw := model.IPSw(s.IPM, s.EstST, p.F, cpmMin, missLat, len(samples)); ipsw < s.IPM {
+			q[i] = ipsw
 		}
 	}
 	return q
@@ -172,10 +137,3 @@ func (p TimeShare) Quotas(samples []ThreadSample, missLat float64) []float64 {
 	}
 	return q
 }
-
-// NaiveFairness is the ablation variant of Fairness whose deficit
-// counters are reset on every switch instead of carrying the
-// miss-truncated leftover (DESIGN.md §5: deficit counting vs naive
-// fixed quota). It is selected via Config.NaiveDeficit; the quota math
-// is identical.
-type NaiveFairness = Fairness

@@ -4,39 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"soemt/internal/model"
 	"soemt/internal/stats"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-// Example 2 of the paper: IPC_no_miss = 2.5 on both threads,
-// Miss_lat = 300, Switch_lat = 25, IPM = [15000, 1000],
-// CPM = [6000, 400]. With F = 1 the first thread must be forced to
-// switch every ~1667 instructions.
-func TestIPSwQuotaPaperExample2(t *testing.T) {
-	ipcST1 := 15000.0 / (6000 + 300) // 2.381
-	cpmMin := 400.0
-	q := IPSwQuota(15000, ipcST1, cpmMin, 300, 1.0)
-	if !almost(q, 1666.7, 1.0) {
-		t.Errorf("IPSw_1 at F=1 = %.1f, paper says 1667", q)
-	}
-	// Thread 2's quota saturates at its IPM: it misses at least as
-	// often as any quota would force.
-	ipcST2 := 1000.0 / (400 + 300) // 1.429
-	q2 := IPSwQuota(1000, ipcST2, cpmMin, 300, 1.0)
-	if !almost(q2, 1000, 1e-9) {
-		t.Errorf("IPSw_2 at F=1 = %.1f, want 1000 (= IPM)", q2)
-	}
-	// F = 1/2 doubles the allowed quota for thread 1.
-	qh := IPSwQuota(15000, ipcST1, cpmMin, 300, 0.5)
-	if !almost(qh, 2*q, 1.0) {
-		t.Errorf("IPSw_1 at F=1/2 = %.1f, want %.1f", qh, 2*q)
-	}
-	// F = 0 disables quotas.
-	if IPSwQuota(15000, ipcST1, cpmMin, 300, 0) != 0 {
-		t.Error("F=0 must produce no quota")
-	}
-}
 
 func mkSample(instrs, cycles, misses uint64, missLat float64) ThreadSample {
 	w := stats.Counters{Instrs: instrs, Cycles: cycles, Misses: misses}
@@ -194,17 +166,45 @@ func TestTruncatedFairness(t *testing.T) {
 	}
 }
 
-// Eq. 5 consistency: with no enforcement, the fairness the model
-// predicts is the CPM ratio; verify IPSwQuota reproduces Eq. 9's
-// saturation boundary where IPM_j == quota.
-func TestIPSwQuotaSaturationBoundary(t *testing.T) {
-	// If IPC_ST_j/F*(CPMmin+missLat) == IPM_j exactly, both branches
-	// agree.
-	ipm := 1000.0
-	ipcST := ipm / (400 + 300)
-	f := ipcST * (400 + 300) / ipm // == 1
-	q := IPSwQuota(ipm, ipcST, 400, 300, f)
-	if !almost(q, ipm, 1e-9) {
-		t.Errorf("boundary quota = %v, want %v", q, ipm)
+// TestPredictIPSwMatchesControllerQuota: for three threads the model
+// must budget each thread as the controller does. Threads (IPC_no_miss,
+// IPM) = (2.5, 15000), (2.5, 1000), (2.0, 5000) at F = 1 and
+// Miss_lat 300: the controller budgets thread 1 at
+// 15000/6300 · (2·400 + 300) = 2619 instructions per switch; the pair
+// wait term would give 1667.
+func TestPredictIPSwMatchesControllerQuota(t *testing.T) {
+	const missLat = 300
+	sys := &model.System{MissLat: missLat, SwitchLat: 25, Threads: []model.ThreadParams{
+		{Name: "a", IPCNoMiss: 2.5, IPM: 15000},
+		{Name: "b", IPCNoMiss: 2.5, IPM: 1000},
+		{Name: "c", IPCNoMiss: 2.0, IPM: 5000},
+	}}
+	pred, err := sys.Predict(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make([]ThreadSample, len(sys.Threads))
+	for i, th := range sys.Threads {
+		samples[i] = ThreadSample{
+			Window: stats.Counters{Cycles: 1},
+			IPM:    th.IPM,
+			CPM:    th.CPM(),
+			EstST:  th.IPCST(missLat),
+		}
+	}
+	quotas := Fairness{F: 1}.Quotas(samples, missLat)
+	for i, q := range quotas {
+		// A zero quota means the thread switches on its misses alone,
+		// which the model writes as IPSw = IPM.
+		want := q
+		if q == 0 {
+			want = sys.Threads[i].IPM
+		}
+		if pred.IPSw[i] != want {
+			t.Errorf("thread %d: model IPSw %.1f, controller budgets %.1f", i, pred.IPSw[i], want)
+		}
+	}
+	if !almost(quotas[0], 2619, 1) {
+		t.Errorf("thread 0 quota %.1f, want 2619 ((N-1)·CPM_min wait term)", quotas[0])
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"soemt/internal/model"
 )
 
 // This file is the policy zoo beyond the paper (ROADMAP item 3 /
@@ -145,7 +147,6 @@ func (p GroupedFairness) Quotas(samples []ThreadSample, missLat float64) []float
 			cpmMin[g] = s.CPM
 		}
 	}
-	others := float64(len(samples) - 1)
 	for i, s := range samples {
 		if s.Window.Cycles == 0 {
 			continue
@@ -157,9 +158,8 @@ func (p GroupedFairness) Quotas(samples []ThreadSample, missLat float64) []float
 		if math.IsInf(floor, 1) {
 			continue
 		}
-		raw := s.EstST / p.F * (others*floor + missLat)
-		if finiteNonNeg(raw) && raw < s.IPM {
-			q[i] = raw
+		if ipsw := model.IPSw(s.IPM, s.EstST, p.F, floor, missLat, len(samples)); finiteNonNeg(ipsw) && ipsw < s.IPM {
+			q[i] = ipsw
 		}
 	}
 	return q

@@ -41,10 +41,10 @@ func TestFairnessQuotasThreeSampleNAware(t *testing.T) {
 		t.Errorf("miss-bound quotas = %v, %v; want 0, 0", qs[1], qs[2])
 	}
 
-	// At N = 2 the factor is 1: bit-identical to IPSwQuota, which is the
-	// paper's literal pair formula.
+	// At N = 2 the factor is 1: bit-identical to the paper's literal
+	// pair formula.
 	pairQs := p.Quotas([]ThreadSample{s1, s2}, 300)
-	ref := IPSwQuota(s1.IPM, s1.EstST, 400, 300, 1)
+	ref := s1.EstST / 1 * (400 + 300)
 	if pairQs[0] != ref {
 		t.Errorf("2-thread quota %v != paper pair formula %v; N generalization must be exact at N=2", pairQs[0], ref)
 	}

@@ -410,9 +410,9 @@ func (c *Cache) Interrupted() (string, bool) {
 	return string(data), true
 }
 
-// diskEntry is the on-disk envelope. Schema, Key, and Sum are verified
-// on read so a stale, foreign, or corrupted file degrades to a cache
-// miss, never to a wrong result.
+// diskEntry is the entry envelope, on disk and on the wire. Schema,
+// Key, and Sum are verified on read so a stale, foreign, or corrupted
+// entry degrades to a cache miss, never to a wrong result.
 type diskEntry struct {
 	Schema string      `json:"schema"`
 	Key    string      `json:"key"`
@@ -437,12 +437,61 @@ func resultSum(res *sim.Result) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// EncodeEntry renders the entry envelope for a result: schema version,
+// key, sha256 content checksum, result. The disk store writes these
+// bytes and GET /v1/cache/{fingerprint} serves them.
+func EncodeEntry(key string, res *sim.Result) ([]byte, error) {
+	sum, err := resultSum(res)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(diskEntry{Schema: SchemaVersion, Key: key, Sum: sum, Result: res})
+}
+
+// errForeignEntry marks an intact entry that is not key's current
+// result: it was written under another schema version or for another
+// key. Such an entry is a silent miss; anything else that fails
+// verification is worth a warning.
+var errForeignEntry = errors.New("stale or foreign entry")
+
+// DecodeVerifiedEntry parses an entry envelope, from disk or from a
+// peer, and verifies it end to end: schema version, key match, and the
+// sha256 checksum recomputed over the decoded result. An entry without
+// a checksum is rejected. Every verification failure is an error,
+// wrapping errForeignEntry for a schema or key mismatch; the caller
+// turns it into a re-simulation, never a wrong result.
+func DecodeVerifiedEntry(data []byte, key string) (*sim.Result, error) {
+	var e diskEntry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return nil, fmt.Errorf("corrupt entry %.12s…: %w", key, err)
+	}
+	if e.Schema != SchemaVersion {
+		return nil, fmt.Errorf("entry %.12s…: schema %q, want %q: %w", key, e.Schema, SchemaVersion, errForeignEntry)
+	}
+	if e.Key != key {
+		return nil, fmt.Errorf("entry key mismatch: got %.12s…, want %.12s…: %w", e.Key, key, errForeignEntry)
+	}
+	if e.Result == nil {
+		return nil, fmt.Errorf("entry %.12s… has no result", key)
+	}
+	if e.Sum == "" {
+		return nil, fmt.Errorf("entry %.12s… has no content checksum", key)
+	}
+	sum, err := resultSum(e.Result)
+	if err != nil {
+		return nil, fmt.Errorf("entry %.12s…: %w", key, err)
+	}
+	if sum != e.Sum {
+		return nil, fmt.Errorf("checksum mismatch on entry %.12s…", key)
+	}
+	return e.Result, nil
+}
+
 // readDisk returns the stored result for key, or nil when the disk
-// layer is disabled, the file is absent, or the entry fails schema,
-// key, or checksum verification (corrupt and stale entries are misses,
-// not errors — and never wrong results: flipped bytes that still parse
-// as JSON are caught by the checksum). Entries written before the
-// checksum existed (empty Sum) are accepted for compatibility.
+// layer is disabled, the file is absent, or the entry fails
+// DecodeVerifiedEntry (corrupt and stale entries are misses, not
+// errors — and never wrong results: flipped bytes that still parse as
+// JSON are caught by the checksum).
 func (c *Cache) readDisk(key string) *sim.Result {
 	if c.dir == "" {
 		return nil
@@ -451,20 +500,12 @@ func (c *Cache) readDisk(key string) *sim.Result {
 	if err != nil {
 		return nil
 	}
-	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		c.logf("WARN cache: corrupt entry %.12s…: %v", key, err)
-		return nil
-	}
-	if e.Schema != SchemaVersion || e.Key != key || e.Result == nil {
-		return nil
-	}
-	if e.Sum != "" {
-		sum, err := resultSum(e.Result)
-		if err != nil || sum != e.Sum {
-			c.logf("WARN cache: checksum mismatch on entry %.12s…, treating as miss", key)
-			return nil
+	res, err := DecodeVerifiedEntry(data, key)
+	if err != nil {
+		if !errors.Is(err, errForeignEntry) {
+			c.logf("WARN cache: %v, treating as miss", err)
 		}
+		return nil
 	}
 	c.mu.Lock()
 	if prev, ok := c.mem[key]; ok {
@@ -472,9 +513,9 @@ func (c *Cache) readDisk(key string) *sim.Result {
 		c.mu.Unlock()
 		return prev
 	}
-	c.mem[key] = e.Result
+	c.mem[key] = res
 	c.mu.Unlock()
-	return e.Result
+	return res
 }
 
 // writesDisabled reports whether the write side of the disk layer has
@@ -521,11 +562,7 @@ func (c *Cache) writeDisk(key string, res *sim.Result) error {
 }
 
 func (c *Cache) writeDiskFile(key string, res *sim.Result) error {
-	sum, err := resultSum(res)
-	if err != nil {
-		return err
-	}
-	data, err := json.Marshal(diskEntry{Schema: SchemaVersion, Key: key, Sum: sum, Result: res})
+	data, err := EncodeEntry(key, res)
 	if err != nil {
 		return err
 	}

@@ -315,7 +315,6 @@ type Fig8Summary struct {
 	AchievedByF     map[float64][]float64 // per-run achieved fairness, sorted by F=0 fairness
 	AvgTruncatedByF map[float64]float64   // mean of min(F, achieved)
 	StdTruncatedByF map[float64]float64
-	UnfairShareF0   float64 // fraction of F=0 runs with fairness < 0.1
 	StarvedShareF0  float64 // fraction of F=0 runs with a thread 10-100x slower
 }
 
@@ -353,7 +352,6 @@ func ExpFig8(w io.Writer, runs []*PairRun) (*Fig8Summary, error) {
 		}
 		t.AddRow(row...)
 	}
-	sum.UnfairShareF0 = float64(unfair) / float64(len(ordered))
 	sum.StarvedShareF0 = float64(starved) / float64(len(ordered))
 	if _, err := t.WriteTo(w); err != nil {
 		return nil, err

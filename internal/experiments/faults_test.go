@@ -122,6 +122,52 @@ func TestTruncatedEntryIsMissAndResimulates(t *testing.T) {
 	}
 }
 
+// An entry with no checksum is not trusted, from disk as from a peer:
+// it is a miss that warns and re-simulates, where a stale schema or a
+// foreign key is a silent miss.
+func TestChecksumlessEntryIsResimulated(t *testing.T) {
+	spec := testSpec(testOptions())
+	dir := t.TempDir()
+	c, key := stubCache(t, dir, spec)
+	noSum := fmt.Sprintf(`{"schema":%q,"key":%q,"result":{"wall_cycles":1005}}`, SchemaVersion, key)
+	if err := os.WriteFile(c.path(key), []byte(noSum), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warnings []string
+	c.Logf = func(format string, args ...interface{}) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
+	res, err := c.RunSpecContext(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Observability().Counter("runner.runs_started").Load(); got != 1 {
+		t.Fatalf("runner.runs_started = %d, want 1: a checksum-less entry must be re-simulated", got)
+	}
+	if res.WallCycles == 1005 {
+		t.Fatal("served the checksum-less entry's result")
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "no content checksum") {
+		t.Fatalf("warnings = %q, want one naming the missing checksum", warnings)
+	}
+
+	for _, entry := range []string{
+		`{"schema":"some-other-version","key":"` + key + `","result":{}}`,
+		fmt.Sprintf(`{"schema":%q,"key":"another-key","sum":"00","result":{}}`, SchemaVersion),
+	} {
+		if err := os.WriteFile(c.path(key), []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c2, _ := stubCache(t, dir, spec)
+		warnings = nil
+		c2.Logf = c.Logf
+		if _, ok := c2.Get(key); ok {
+			t.Fatalf("entry %s served", entry)
+		}
+		if len(warnings) != 0 {
+			t.Fatalf("entry %s warned %q, want a silent miss", entry, warnings)
+		}
+	}
+}
+
 // A cache directory that cannot be created (here: the path runs
 // through a regular file, which fails even for root) must degrade to a
 // memory-only cache with a warning — construction and runs both

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 
 	"soemt/internal/sim"
 )
@@ -57,51 +55,4 @@ func (c *Cache) fetchPeer(ctx context.Context, key string) *sim.Result {
 		c.logf("WARN cache: peer fill %.12s…: %v (degrading to local run)", key, err)
 	}
 	return nil
-}
-
-// EncodeEntry renders the wire/disk envelope for a result: schema
-// version, key, sha256 content checksum, result. It is what
-// GET /v1/cache/{fingerprint} serves, byte-compatible with the disk
-// store's format so either side of the fetch can also be a file.
-func EncodeEntry(key string, res *sim.Result) ([]byte, error) {
-	sum, err := resultSum(res)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(diskEntry{Schema: SchemaVersion, Key: key, Sum: sum, Result: res})
-}
-
-// DecodeVerifiedEntry parses an entry envelope fetched from a peer
-// and verifies it end to end: schema version, key match, and the
-// sha256 checksum recomputed over the decoded result. Unlike the disk
-// reader — which accepts pre-checksum legacy entries — a peer entry
-// without a checksum is rejected: remote bytes crossed a network and
-// get no benefit of the doubt. Every verification failure is an
-// error; the peer tier turns it into a local re-simulation, never a
-// wrong result.
-func DecodeVerifiedEntry(data []byte, key string) (*sim.Result, error) {
-	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("experiments: peer entry %.12s…: %w", key, err)
-	}
-	if e.Schema != SchemaVersion {
-		return nil, fmt.Errorf("experiments: peer entry %.12s…: schema %q, want %q", key, e.Schema, SchemaVersion)
-	}
-	if e.Key != key {
-		return nil, fmt.Errorf("experiments: peer entry key mismatch: got %.12s…, want %.12s…", e.Key, key)
-	}
-	if e.Result == nil {
-		return nil, fmt.Errorf("experiments: peer entry %.12s…: missing result", key)
-	}
-	if e.Sum == "" {
-		return nil, fmt.Errorf("experiments: peer entry %.12s…: missing content checksum", key)
-	}
-	sum, err := resultSum(e.Result)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: peer entry %.12s…: %w", key, err)
-	}
-	if sum != e.Sum {
-		return nil, fmt.Errorf("experiments: peer entry %.12s…: checksum mismatch", key)
-	}
-	return e.Result, nil
 }

@@ -147,8 +147,7 @@ func TestDecodeVerifiedEntryRejectsBadEnvelopes(t *testing.T) {
 	if _, err := DecodeVerifiedEntry([]byte(`{"schema":"older-v0","key":"key1"}`), "key1"); err == nil {
 		t.Fatal("wrong schema accepted")
 	}
-	// Unlike the disk reader, a peer entry with no checksum is rejected
-	// outright: remote bytes get no legacy grace.
+	// An entry with no checksum is rejected outright.
 	noSum := fmt.Sprintf(`{"schema":%q,"key":"key1","result":{"wall_cycles":1005}}`, SchemaVersion)
 	if _, err := DecodeVerifiedEntry([]byte(noSum), "key1"); err == nil {
 		t.Fatal("entry without checksum accepted")

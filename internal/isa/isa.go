@@ -78,7 +78,12 @@ type Uop struct {
 
 	// Memory operands (Kind Load/Store only).
 	Addr uint64 // virtual byte address
-	Size uint8  // access size in bytes
+	// Size is the access size in bytes. Nothing reads it; it stays
+	// because a tenth field keeps Uop out of registers. With nine
+	// fields Go's register ABI returns a Uop in nine registers, and
+	// the pipeline's fetch stores them back one field at a time for
+	// every micro-op.
+	Size uint8
 
 	// Branch operands (Kind Branch only).
 	Taken  bool   // architectural outcome

@@ -85,6 +85,29 @@ func (s *System) CPMMin() float64 {
 	return m
 }
 
+// IPSw is Eq. 9, the instructions-per-switch quota that guarantees
+// target fairness f for a thread with ipm instructions per miss and
+// single-thread IPC ipcST, among n threads whose smallest CPM is
+// cpmMin:
+//
+//	IPSw_j = min(IPM_j, IPC_ST_j/F · ((n-1)·CPM_min + Miss_lat))
+//
+// The wait term bounds the cycles thread j spends switched out between
+// two of its visits: each of its n-1 co-runners executes for at least
+// CPM_min cycles before its own miss, and only the last miss's
+// resolution (at most Miss_lat) is not overlapped by someone's
+// execution. At n = 2 this is the paper's pair formula exactly. With
+// f <= 0 or fewer than two threads nothing is enforced and the result
+// is IPM: the thread switches on its misses alone. Predict and the
+// controller's fairness policies all evaluate Eq. 9 here, so the model
+// predicts the mechanism the simulator runs.
+func IPSw(ipm, ipcST, f, cpmMin, missLat float64, n int) float64 {
+	if f <= 0 || n < 2 {
+		return ipm
+	}
+	return math.Min(ipm, ipcST/f*(float64(n-1)*cpmMin+missLat))
+}
+
 // Prediction is the model's output for one fairness setting.
 type Prediction struct {
 	F        float64   // target fairness used (0 = event-only SOE)
@@ -120,12 +143,7 @@ func (s *System) Predict(f float64) (*Prediction, error) {
 	cpmMin := s.CPMMin()
 	for i, t := range s.Threads {
 		p.IPCST[i] = t.IPCST(s.MissLat)
-		if f == 0 {
-			p.IPSw[i] = t.IPM
-		} else {
-			// Eq. 9.
-			p.IPSw[i] = math.Min(t.IPM, p.IPCST[i]/f*(cpmMin+s.MissLat))
-		}
+		p.IPSw[i] = IPSw(t.IPM, p.IPCST[i], f, cpmMin, s.MissLat, n)
 		// Between switches the thread runs at IPC_no_miss (miss stalls
 		// are hidden by the other threads).
 		p.CPSw[i] = p.IPSw[i] / t.IPCNoMiss

@@ -280,3 +280,71 @@ func TestEnforcedPerfectFairnessProperty(t *testing.T) {
 		}
 	}
 }
+
+// Example 2 of the paper: IPC_no_miss = 2.5 on both threads,
+// Miss_lat = 300, Switch_lat = 25, IPM = [15000, 1000],
+// CPM = [6000, 400]. With F = 1 the first thread must be forced to
+// switch every ~1667 instructions (Table 2).
+func TestIPSwPaperExample2(t *testing.T) {
+	ipcST1 := 15000.0 / (6000 + 300) // 2.381
+	cpmMin := 400.0
+	q := IPSw(15000, ipcST1, 1.0, cpmMin, 300, 2)
+	if !almost(q, 1666.7, 1.0) {
+		t.Errorf("IPSw_1 at F=1 = %.1f, paper says 1667", q)
+	}
+	// Thread 2's quota saturates at its IPM: it misses at least as
+	// often as any quota would force.
+	ipcST2 := 1000.0 / (400 + 300) // 1.429
+	q2 := IPSw(1000, ipcST2, 1.0, cpmMin, 300, 2)
+	if !almost(q2, 1000, 1e-9) {
+		t.Errorf("IPSw_2 at F=1 = %.1f, want 1000 (= IPM)", q2)
+	}
+	// F = 1/2 doubles the allowed quota for thread 1.
+	qh := IPSw(15000, ipcST1, 0.5, cpmMin, 300, 2)
+	if !almost(qh, 2*q, 1.0) {
+		t.Errorf("IPSw_1 at F=1/2 = %.1f, want %.1f", qh, 2*q)
+	}
+	// F = 0 enforces nothing: the thread switches on its misses alone.
+	if q := IPSw(15000, ipcST1, 0, cpmMin, 300, 2); q != 15000 {
+		t.Errorf("IPSw at F=0 = %v, want IPM", q)
+	}
+	// A tiny F drives the raw Eq. 9 value past IPM: saturated, never
+	// Inf or NaN.
+	if q := IPSw(15000, ipcST1, 1e-300, cpmMin, 300, 2); q != 15000 {
+		t.Errorf("IPSw at tiny F = %v, want saturated at IPM", q)
+	}
+}
+
+// Eq. 5 consistency: with no enforcement, the fairness the model
+// predicts is the CPM ratio; IPSw reproduces Eq. 9's saturation
+// boundary where IPM_j == quota.
+func TestIPSwSaturationBoundary(t *testing.T) {
+	// If IPC_ST_j/F*(CPMmin+missLat) == IPM_j exactly, both branches
+	// agree.
+	ipm := 1000.0
+	ipcST := ipm / (400 + 300)
+	f := ipcST * (400 + 300) / ipm // == 1
+	q := IPSw(ipm, ipcST, f, 400, 300, 2)
+	if !almost(q, ipm, 1e-9) {
+		t.Errorf("boundary quota = %v, want %v", q, ipm)
+	}
+}
+
+// At two threads the N-thread wait term is the paper's pair formula
+// bit for bit; with one thread nothing is enforced.
+func TestIPSwPairFormulaAtTwoThreads(t *testing.T) {
+	for _, c := range []struct{ ipm, ipcST, f, cpmMin, missLat float64 }{
+		{15000, 15000.0 / 6300, 1, 400, 300},
+		{15000, 15000.0 / 6300, 0.25, 400, 300},
+		{5000, 0.7, 0.5, 1234.5, 287},
+		{1e6, 1.9, 1.0 / 3, 17, 90},
+	} {
+		pair := math.Min(c.ipm, c.ipcST/c.f*(c.cpmMin+c.missLat))
+		if got := IPSw(c.ipm, c.ipcST, c.f, c.cpmMin, c.missLat, 2); got != pair {
+			t.Errorf("IPSw%+v at N=2 = %v, pair formula %v", c, got, pair)
+		}
+		if got := IPSw(c.ipm, c.ipcST, c.f, c.cpmMin, c.missLat, 1); got != c.ipm {
+			t.Errorf("IPSw%+v at N=1 = %v, want IPM", c, got)
+		}
+	}
+}

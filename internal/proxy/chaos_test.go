@@ -113,7 +113,6 @@ func startProxy(t *testing.T, urls []string, inj *faultinject.Injector, cfg Conf
 		Nodes:     urls,
 		Transport: faultinject.RoundTripper(nil, inj),
 		Registry:  reg,
-		Seed:      7,
 	})
 	if err != nil {
 		t.Fatal(err)

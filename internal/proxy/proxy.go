@@ -1,9 +1,8 @@
 // Package proxy implements soeproxy, the thin cluster gateway: it
 // routes submissions to soeserve nodes by content-addressed
 // fingerprint (so identical specs land on — and coalesce at — one
-// node), retries idempotent submissions on the next ring candidate
-// when a node or its breaker fails, hedges synchronous tier=fast
-// requests after a latency percentile, and sheds load with
+// node), retries every submission, whatever its tier, on the next
+// ring candidate when a node or its breaker fails, and sheds load with
 // deterministic 429/503 + Retry-After instead of queueing.
 //
 // The gateway holds no state a restart could lose: routing is pure
@@ -22,9 +21,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"soemt/internal/cluster"
@@ -37,14 +34,6 @@ type Config struct {
 	// Cluster is the node set to route over (Self is "" — the gateway
 	// is a pure client and never routes to itself).
 	Cluster *cluster.Cluster
-	// MaxAttempts bounds how many ring candidates one submission may
-	// try (first attempt included). 0 means every routable candidate.
-	MaxAttempts int
-	// HedgeAfter, when > 0, is the fixed latency after which a
-	// tier=fast request is duplicated to the next candidate. 0 derives
-	// the trigger adaptively from the observed p95 of recent fast
-	// requests.
-	HedgeAfter time.Duration
 	// MaxBodyBytes bounds a submission body (413 beyond). Default 1 MiB
 	// — must not exceed the nodes' own serve.Config.MaxBodyBytes or the
 	// gateway would accept bodies its backends reject.
@@ -55,16 +44,6 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 }
 
-// hedge tuning: the adaptive trigger needs a few observations before
-// p95 means anything; until then (and whenever clamping) these bounds
-// apply.
-const (
-	hedgeMinSamples   = 8
-	hedgeDefaultDelay = 75 * time.Millisecond
-	hedgeMinDelay     = 5 * time.Millisecond
-	hedgeMaxDelay     = 2 * time.Second
-)
-
 // Proxy is the gateway engine. Construct with New; all methods are
 // safe for concurrent use.
 type Proxy struct {
@@ -72,13 +51,9 @@ type Proxy struct {
 	cl  *cluster.Cluster
 	reg *obs.Registry
 
-	lat latWindow // recent tier=fast latencies, feeds the hedge trigger
-
 	requestsC  *obs.Counter
 	forwardedC *obs.Counter
 	retriesC   *obs.Counter
-	hedgesC    *obs.Counter
-	hedgeWinsC *obs.Counter
 	shedC      *obs.Counter
 }
 
@@ -102,8 +77,6 @@ func New(cfg Config) (*Proxy, error) {
 		requestsC:  reg.Counter("proxy.requests"),
 		forwardedC: reg.Counter("proxy.forwarded"),
 		retriesC:   reg.Counter("proxy.retries"),
-		hedgesC:    reg.Counter("proxy.hedges"),
-		hedgeWinsC: reg.Counter("proxy.hedge_wins"),
 		shedC:      reg.Counter("proxy.shed"),
 	}, nil
 }
@@ -203,7 +176,7 @@ func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request, kind string
 		return
 	}
 
-	var key, tier string
+	var key string
 	switch kind {
 	case "run":
 		var rq serve.RunRequest
@@ -215,7 +188,6 @@ func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request, kind string
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		tier = rq.Tier
 	default:
 		var rq serve.SweepRequest
 		if err := json.Unmarshal(body, &rq); err != nil {
@@ -226,19 +198,10 @@ func (p *Proxy) handleSubmit(w http.ResponseWriter, r *http.Request, kind string
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		tier = rq.Tier
 	}
 
 	hdr := http.Header{"Content-Type": []string{"application/json"}}
-	path := "/v1/" + kind
-	if tier == serve.TierFast {
-		// Synchronous, no job, no simulation: safe to duplicate, so the
-		// latency tail is worth cutting with a hedge.
-		resp, err := p.hedgedForward(r, key, path, body, hdr)
-		p.finishForward(w, resp, err, key)
-		return
-	}
-	resp, err := p.forward(r, key, path, body, hdr)
+	resp, err := p.forward(r, key, "/v1/"+kind, body, hdr)
 	p.finishForward(w, resp, err, key)
 }
 
@@ -260,17 +223,15 @@ func (p *Proxy) finishForward(w http.ResponseWriter, resp *http.Response, err er
 
 // forward walks key's candidate list: the ring owner first, then its
 // deterministic successors, skipping dead nodes, stopping at the
-// first conclusive answer. Each additional attempt counts as a retry.
-// The returned error is the last attempt's (an *ErrBreakerOpen when
-// every candidate was breaker-refused, so the caller can surface the
-// soonest retry hint).
+// first conclusive answer. Every submission and cache read takes this
+// one walk, whatever its tier. Each additional attempt counts as a
+// retry. The returned error is the last attempt's (an *ErrBreakerOpen
+// when every candidate was breaker-refused, so the caller can surface
+// the soonest retry hint).
 func (p *Proxy) forward(r *http.Request, key, path string, body []byte, hdr http.Header) (*http.Response, error) {
 	cands := p.cl.Candidates(key)
 	if len(cands) == 0 {
 		return nil, cluster.ErrNoCandidates
-	}
-	if p.cfg.MaxAttempts > 0 && len(cands) > p.cfg.MaxAttempts {
-		cands = cands[:p.cfg.MaxAttempts]
 	}
 	var lastResp *http.Response
 	var lastErr error
@@ -292,108 +253,6 @@ func (p *Proxy) forward(r *http.Request, key, path string, body []byte, hdr http
 		return lastResp, nil
 	}
 	return nil, lastErr
-}
-
-// hedgedForward is forward for tier=fast: launch on the owner, and if
-// no answer lands within the hedge delay, duplicate to the next
-// candidate and take whichever conclusive answer arrives first.
-func (p *Proxy) hedgedForward(r *http.Request, key, path string, body []byte, hdr http.Header) (*http.Response, error) {
-	cands := p.cl.Candidates(key)
-	if len(cands) == 0 {
-		return nil, cluster.ErrNoCandidates
-	}
-	if len(cands) == 1 {
-		start := time.Now()
-		resp, err := p.cl.RoundTrip(r.Context(), cands[0], r.Method, path, body, hdr)
-		if err == nil && resp.StatusCode < 500 {
-			p.lat.add(time.Since(start))
-		}
-		return resp, err
-	}
-
-	type outcome struct {
-		idx  int
-		resp *http.Response
-		err  error
-	}
-	ch := make(chan outcome, 2)
-	launched := 0
-	launch := func(idx int) {
-		launched++
-		go func() {
-			resp, err := p.cl.RoundTrip(r.Context(), cands[idx], r.Method, path, body, hdr)
-			ch <- outcome{idx, resp, err}
-		}()
-	}
-	// drainLater disposes outcomes still in flight after a winner.
-	drainLater := func(n int) {
-		if n <= 0 {
-			return
-		}
-		go func() {
-			for i := 0; i < n; i++ {
-				discard((<-ch).resp)
-			}
-		}()
-	}
-
-	start := time.Now()
-	launch(0)
-	timer := time.NewTimer(p.hedgeDelay())
-	defer timer.Stop()
-	done := 0
-	var lastErr error
-	for {
-		select {
-		case o := <-ch:
-			done++
-			if !retryable(o.resp, o.err) {
-				p.lat.add(time.Since(start))
-				if o.idx > 0 {
-					p.hedgeWinsC.Inc()
-				}
-				drainLater(launched - done)
-				return o.resp, nil
-			}
-			discard(o.resp)
-			if o.resp != nil {
-				lastErr = fmt.Errorf("proxy: %s answered %s", cands[o.idx], o.resp.Status)
-			} else {
-				lastErr = o.err
-			}
-			if launched < 2 {
-				// The primary failed outright: this is a failover retry,
-				// not a latency hedge.
-				p.retriesC.Inc()
-				launch(1)
-			} else if done == launched {
-				return nil, lastErr
-			}
-		case <-timer.C:
-			if launched < 2 {
-				p.hedgesC.Inc()
-				launch(1)
-			}
-		}
-	}
-}
-
-// hedgeDelay returns the current tier=fast hedge trigger.
-func (p *Proxy) hedgeDelay() time.Duration {
-	if p.cfg.HedgeAfter > 0 {
-		return p.cfg.HedgeAfter
-	}
-	d := p.lat.p95()
-	if d <= 0 {
-		return hedgeDefaultDelay
-	}
-	if d < hedgeMinDelay {
-		return hedgeMinDelay
-	}
-	if d > hedgeMaxDelay {
-		return hedgeMaxDelay
-	}
-	return d
 }
 
 // handleFanout answers job-scoped GETs by asking every routable node:
@@ -436,20 +295,13 @@ func (p *Proxy) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) Status() map[string]any {
 	counters := map[string]uint64{}
 	for _, name := range []string{
-		"proxy.requests", "proxy.forwarded", "proxy.retries",
-		"proxy.hedges", "proxy.hedge_wins", "proxy.shed",
+		"proxy.requests", "proxy.forwarded", "proxy.retries", "proxy.shed",
 	} {
 		counters[name] = p.reg.Counter(name).Load()
 	}
-	names := make([]string, 0, len(counters))
-	for n := range counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	return map[string]any{
-		"nodes":          p.cl.Snapshot(),
-		"proxy":          counters,
-		"hedge_after_ms": p.hedgeDelay().Milliseconds(),
+		"nodes": p.cl.Snapshot(),
+		"proxy": counters,
 	}
 }
 
@@ -463,37 +315,4 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if _, err := p.reg.WriteTo(w); err != nil {
 		p.logf("metrics dump: %v", err)
 	}
-}
-
-// latWindow is a fixed ring of recent latencies with a lock cheap
-// enough for the request path.
-type latWindow struct {
-	mu  sync.Mutex
-	buf [64]time.Duration
-	n   int // total observations (buf index = n % len)
-}
-
-func (l *latWindow) add(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.n%len(l.buf)] = d
-	l.n++
-	l.mu.Unlock()
-}
-
-// p95 returns the window's 95th percentile, or 0 with fewer than
-// hedgeMinSamples observations (not enough signal to hedge on).
-func (l *latWindow) p95() time.Duration {
-	l.mu.Lock()
-	size := l.n
-	if size > len(l.buf) {
-		size = len(l.buf)
-	}
-	samples := make([]time.Duration, size)
-	copy(samples, l.buf[:size])
-	l.mu.Unlock()
-	if size < hedgeMinSamples {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[(size*95)/100]
 }

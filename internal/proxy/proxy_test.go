@@ -8,42 +8,36 @@ import (
 	"testing"
 	"time"
 
-	"soemt/internal/cluster"
-	"soemt/internal/faultinject"
 	"soemt/internal/serve"
 	"soemt/internal/sim"
 )
 
-func TestProxyHedgesFastTierAfterLatency(t *testing.T) {
-	nodes := startNodes(t, 2)
-	urls := nodeURLs(nodes)
+// TestProxyFastTierWalksEveryCandidate: with the key's owner and its
+// first successor refusing connections, a tier=fast request must still
+// reach the third node, as an exact submission does.
+func TestProxyFastTierWalksEveryCandidate(t *testing.T) {
+	nodes := startNodes(t, 3)
+	p, pts := startProxy(t, nodeURLs(nodes), nil, Config{})
 	rq := serve.RunRequest{Pair: "gcc:eon", F: 0.5, Scale: "tiny", Tier: serve.TierFast}
 	key, err := rq.RouteKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ownerHost := strings.TrimPrefix(cluster.NewRing(urls, 0).Owner(key), "http://")
+	cands := p.cl.Candidates(key)
+	for _, nd := range nodes {
+		if nd.url() == cands[0] || nd.url() == cands[1] {
+			nd.ts.Close()
+		}
+	}
 
-	// Only the owner is slow: the hedge must fire and the successor's
-	// answer must win.
-	inj := faultinject.New(55).Arm(faultinject.SitePeerLatency+"@"+ownerHost,
-		faultinject.Plan{Every: 1, Delay: 400 * time.Millisecond})
-	p, pts := startProxy(t, urls, inj, Config{HedgeAfter: 20 * time.Millisecond})
-
-	start := time.Now()
-	code, body, _ := postJSON(t, pts.URL+"/v1/run", rq)
-	if code != http.StatusOK {
-		t.Fatalf("fast run via proxy: status %d (%v), want 200", code, body)
+	if code, body, _ := postJSON(t, pts.URL+"/v1/run", rq); code != http.StatusOK {
+		t.Fatalf("fast run via proxy: status %d (%v), want 200 from the third candidate", code, body)
 	}
-	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {
-		t.Fatalf("hedge did not cut the latency tail: %s", elapsed)
+	rq.Tier = serve.TierExact
+	if code, body, _ := postJSON(t, pts.URL+"/v1/run", rq); code != http.StatusAccepted {
+		t.Fatalf("exact run via proxy: status %d (%v), want 202 from the third candidate", code, body)
 	}
-	if got := p.reg.Counter("proxy.hedges").Load(); got != 1 {
-		t.Fatalf("proxy.hedges = %d, want 1", got)
-	}
-	if got := p.reg.Counter("proxy.hedge_wins").Load(); got != 1 {
-		t.Fatalf("proxy.hedge_wins = %d, want 1", got)
-	}
+	waitIdle(nodes)
 }
 
 func TestProxyShedsWithRetryAfterWhenFleetUnreachable(t *testing.T) {
@@ -66,7 +60,7 @@ func TestProxyShedsWithRetryAfterWhenFleetUnreachable(t *testing.T) {
 			sawBreakerShed = true
 		}
 	}
-	// TripAfter=3 connection failures open the breaker, so the later
+	// Three connection failures open the breaker, so the later
 	// rejections must come from the breaker without dialing.
 	if !sawBreakerShed {
 		t.Fatal("breaker never tripped across 5 failed submissions")
@@ -149,7 +143,7 @@ func TestProxyStatusExportsNodesAndCounters(t *testing.T) {
 		t.Fatalf("/status lists %d nodes, want 2", got)
 	}
 	counters := st["proxy"].(map[string]any)
-	for _, name := range []string{"proxy.requests", "proxy.forwarded", "proxy.retries", "proxy.hedges", "proxy.shed"} {
+	for _, name := range []string{"proxy.requests", "proxy.forwarded", "proxy.retries", "proxy.shed"} {
 		if _, ok := counters[name]; !ok {
 			t.Fatalf("/status missing counter %s (have %v)", name, counters)
 		}

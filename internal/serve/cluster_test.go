@@ -159,7 +159,7 @@ func TestPeerCacheFillAcrossNodes(t *testing.T) {
 	// The ring decides which server owns the key; the other one fills.
 	owner, fillS, fillTS, fillRuns := sA, sB, tsB, &runsB
 	ownerTS := tsA
-	if cluster.NewRing(nodes, 0).Owner(fp) == tsB.URL {
+	if cluster.NewRing(nodes).Owner(fp) == tsB.URL {
 		owner, ownerTS, fillS, fillTS, fillRuns = sB, tsB, sA, tsA, &runsA
 	}
 

@@ -31,7 +31,6 @@ type job struct {
 	threadNames []string
 	tracer      *obs.Tracer
 
-	run   RunRequest
 	sweep SweepRequest
 	spec  sim.Spec
 

@@ -689,7 +689,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		key:         fp,
 		fingerprint: fp,
 		threadNames: names,
-		run:         rq,
 		spec:        spec,
 	}
 	if rq.Trace {

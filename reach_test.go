@@ -25,7 +25,6 @@ import (
 // belongs to an exempt package. A change that removes the last caller
 // of a function deletes the function too.
 var reachAllowlist = map[string]string{
-	"internal/core.IPSwQuota":                    "reference: Eq. 9 for a pair, which tests compare the controller's n-thread quotas against",
 	"internal/pipeline.(*Pipeline).producerDone": "reference: the full-scan readiness predicate TestIssueWakeCacheTransparent checks the wake cache against",
 	"internal/serve.(*Server).WaitIdle":          "test seam: waits for the job pool to empty, so tests need not poll",
 	"internal/obs.(*Gauge).Load":                 "test seam: reads one gauge, so tests need not parse the registry's text",
